@@ -70,7 +70,9 @@ class ExtentFrame:
     def dirty_slice(self) -> bytes:
         """The bytes of the dirty page range (what a flush writes)."""
         ps = self.page_size
-        return bytes(self.data[self.dirty_from * ps:self.dirty_to * ps])
+        # One copy: a memoryview slice is free, ``tobytes`` snapshots it.
+        return memoryview(self.data)[self.dirty_from * ps:
+                                     self.dirty_to * ps].tobytes()
 
     def write_at(self, offset: int, payload: bytes) -> None:
         """Copy ``payload`` into the extent and dirty the touched pages."""
@@ -84,6 +86,25 @@ class ExtentFrame:
         self.data[offset:end] = payload
         ps = self.page_size
         self.mark_dirty(offset // ps, (end + ps - 1) // ps)
+
+
+def join_frames(frames: list[ExtentFrame], size: int) -> bytes:
+    """The first ``size`` bytes of the frames' data, in one copy.
+
+    ``join`` reads the bytearrays in place; a frame reaching past
+    ``size`` contributes a memoryview cut to length.
+    """
+    parts: list[bytearray | memoryview] = []
+    remaining = size
+    for frame in frames:
+        if remaining <= 0:
+            break
+        data = frame.data
+        if len(data) > remaining:
+            data = memoryview(data)[:remaining]
+        parts.append(data)
+        remaining -= len(data)
+    return b"".join(parts)
 
 
 class BlobView:
@@ -117,8 +138,7 @@ class BlobView:
                 frame.san.on_frame_read(frame)
             if frame.race is not None:
                 frame.race.on_read(("frame", frame.head_pid))
-        joined = b"".join(bytes(f.data) for f in self._frames)
-        return joined[:self.size]
+        return join_frames(self._frames, self.size)
 
     def copy_to_client(self, model) -> bytes:
         """The application-side read: one memcpy of the BLOB's size."""

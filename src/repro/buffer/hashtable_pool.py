@@ -9,7 +9,7 @@ paper's Fig. 10 attributes the vmcache advantage to.
 
 from __future__ import annotations
 
-from repro.buffer.frames import BlobView
+from repro.buffer.frames import BlobView, join_frames
 from repro.buffer.pool import BufferPoolBase
 
 #: glibc M_MMAP_THRESHOLD: allocations above this use a fresh anonymous
@@ -46,7 +46,7 @@ class HashTablePool(BufferPoolBase):
         if san is not None:
             for frame in frames:
                 san.on_frame_read(frame)
-        data = b"".join(bytes(f.data) for f in frames)[:size]
+        data = join_frames(frames, size)
         view = BlobView(frames, size, release=lambda: self.unpin(frames),
                         materialized=data)
         return view

@@ -26,6 +26,29 @@ class PoolStats:
         return self.hits / total if total else 0.0
 
 
+def shuffle(rng: random.Random, items: list) -> None:
+    """Shuffle ``items`` in place exactly as ``rng.shuffle(items)`` does.
+
+    Same permutation, same RNG state afterwards: CPython's ``shuffle``
+    draws ``j`` for ``i = n-1 .. 1`` with ``_randbelow(i + 1)``, i.e.
+    ``getrandbits(k)`` with ``k = (i + 1).bit_length()``, redrawn while
+    ``j > i``.  This makes the same ``getrandbits`` calls inline, without
+    two method calls and a ``bit_length`` per element, so eviction draws
+    (and every virtual result downstream) stay byte-identical.
+    """
+    getrandbits = rng.getrandbits
+    k = len(items).bit_length()
+    edge = (1 << k >> 1) - 1  # smallest i whose (i + 1) has k bits
+    for i in range(len(items) - 1, 0, -1):
+        if i < edge:
+            k -= 1
+            edge >>= 1
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
 class BufferPoolBase:
     """Extent-granular buffer pool over a simulated device.
 
@@ -309,7 +332,7 @@ class BufferPoolBase:
         candidates = list(self._frames.values())
         if not candidates:
             return False
-        self._rng.shuffle(candidates)
+        shuffle(self._rng, candidates)
         for frame in candidates:
             if frame.prevent_evict or frame.pins > 0:
                 continue

@@ -13,7 +13,7 @@ Differences from the hash-table pool, both priced by the cost model:
 from __future__ import annotations
 
 from repro.buffer.aliasing import AliasingManager
-from repro.buffer.frames import BlobView
+from repro.buffer.frames import BlobView, join_frames
 from repro.buffer.pool import BufferPoolBase
 from repro.sim.cost import CostModel
 from repro.storage.device import SimulatedNVMe
@@ -73,7 +73,7 @@ class VmcachePool(BufferPoolBase):
             if san is not None:
                 for frame in frames:
                     san.on_frame_read(frame)
-            data = b"".join(bytes(f.data) for f in frames)[:size]
+            data = join_frames(frames, size)
             return BlobView(frames, size,
                             release=lambda: self.unpin(frames),
                             materialized=data)

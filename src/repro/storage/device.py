@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Protocol, runtime_checkable
 
 from repro.sim.cost import CostModel
@@ -424,12 +425,17 @@ class SimulatedNVMe:
 
     def _scatter(self, pid: int, data: bytes) -> None:
         ps = self.page_size
-        for i in range(len(data) // ps):
-            page = bytes(data[i * ps:(i + 1) * ps])
-            self._pages[pid + i] = page
-            if self.protect:
-                self._page_crc[pid + i] = zlib.crc32(page)
-                self.integrity.pages_protected += 1
+        pages, crcs, protect = self._pages, self._page_crc, self.protect
+        data = bytes(data)  # no copy when it already is ``bytes``
+        n = len(data) // ps
+        # One copy per page (the slice).  Pages are stored one at a time
+        # so each replaced page is freed before the next one is copied.
+        for p, off in zip(range(pid, pid + n), range(0, n * ps, ps)):
+            pages[p] = page = data[off:off + ps]
+            if protect:
+                crcs[p] = zlib.crc32(page)
+        if protect:
+            self.integrity.pages_protected += n
 
     def _poke(self, pid: int, data: bytes) -> None:
         """Overwrite raw page content *without* updating protection info.
@@ -447,9 +453,9 @@ class SimulatedNVMe:
             self._pages[pid + i] = chunk
 
     def _gather(self, pid: int, npages: int) -> bytes:
-        ps = self.page_size
-        blank = b"\x00" * ps
-        return b"".join(self._pages.get(pid + i, blank) for i in range(npages))
+        blank = b"\x00" * self.page_size
+        return b"".join(map(self._pages.get, range(pid, pid + npages),
+                            repeat(blank, npages)))
 
     # -- protection information -------------------------------------------------
 
@@ -468,14 +474,21 @@ class SimulatedNVMe:
         if not self.protect:
             return
         self.model.crc32_bytes(npages * self.page_size)
+        crcs, pages = self._page_crc, self._pages
+        blank = b"\x00" * self.page_size
+        verified = 0
         for p in range(pid, pid + npages):
-            if p in self._page_crc:
-                self.integrity.pages_verified += 1
-            if not self.check_page(p):
+            crc = crcs.get(p)
+            if crc is None:
+                continue
+            verified += 1
+            if zlib.crc32(pages.get(p, blank)) != crc:
+                self.integrity.pages_verified += verified
                 self.integrity.checksum_failures += 1
                 from repro.db.errors import ChecksumMismatchError
                 raise ChecksumMismatchError(
                     f"page {p} failed its protection CRC", pid=p)
+        self.integrity.pages_verified += verified
 
     def verify_range(self, pid: int, npages: int) -> list[int]:
         """Return the pids in range whose stored bytes fail their CRC.

@@ -1,9 +1,12 @@
 """Tests for buffer frames, pools, eviction, and prevent_evict."""
 
+import random
+
 import pytest
 
-from repro.buffer.frames import BlobView, ExtentFrame
+from repro.buffer.frames import BlobView, ExtentFrame, join_frames
 from repro.buffer.hashtable_pool import HashTablePool
+from repro.buffer.pool import shuffle
 from repro.buffer.vmcache import VmcachePool
 from repro.sim.cost import CostModel
 from repro.storage.device import SimulatedNVMe
@@ -190,6 +193,21 @@ class TestEviction:
         # The 16-page extent is 16x more likely than a 1-page extent.
         assert evicted_large > trials * 0.5
 
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    def test_shuffle_matches_stdlib(self, seed):
+        """Same permutation and same RNG state as ``Random.shuffle``.
+
+        Eviction order, and through it every virtual result, depends on
+        this; a change to CPython's shuffle must fail here, not drift.
+        """
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1101):
+            got, want = list(range(n)), list(range(n))
+            shuffle(ours, got)
+            ref.shuffle(want)
+            assert got == want, n
+            assert ours.getrandbits(32) == ref.getrandbits(32), n
+
     def test_drop_all_volatile(self):
         pool = make_pool("vmcache")
         pool.allocate_frame(0, 4)
@@ -205,6 +223,17 @@ class TestEviction:
 
 
 class TestReadBlobViews:
+    @pytest.mark.parametrize("size", [0, 1, PAGE - 1, PAGE, PAGE + 1,
+                                      3 * PAGE, 6 * PAGE, 7 * PAGE])
+    def test_join_frames_matches_copying_reference(self, size):
+        frames = [ExtentFrame(head_pid=i * 10, npages=n, page_size=PAGE,
+                              data=bytearray(bytes([65 + i])) * (n * PAGE))
+                  for i, n in enumerate((1, 3, 2))]
+        reference = b"".join(bytes(f.data) for f in frames)[:size]
+        joined = join_frames(frames, size)
+        assert type(joined) is bytes
+        assert joined == reference
+
     def test_vmcache_multi_extent_read_is_zero_copy(self):
         pool = make_pool("vmcache")
         pool.alias_threshold_bytes = 0  # always alias for this test

@@ -69,6 +69,22 @@ class TestProtectionInfo:
         dev._poke(2, b"junk")
         assert dev.verify_range(0, 4) == [2]
 
+    def test_verify_counts_only_protected_pages_up_to_the_failure(self):
+        dev, _ = make_device()
+        dev.write(0, b"\x01" * 4096 * 2)
+        dev.write(3, bytearray(b"\x03" * 4096 * 3))  # page 2 never written
+        assert dev.read(0, 4) == b"\x01" * 8192 + b"\x00" * 4096 \
+            + b"\x03" * 4096
+        assert dev.integrity.pages_verified == 3
+        dev._poke(4, b"junk")
+        with pytest.raises(ChecksumMismatchError) as exc_info:
+            dev.read(0, 6)
+        assert exc_info.value.pid == 4
+        # Pages 0, 1, 3 and the failing 4 were checked; 5 was not reached.
+        assert dev.integrity.pages_verified == 3 + 4
+        assert dev.integrity.checksum_failures == 1
+        assert dev.integrity.pages_protected == 5
+
     def test_never_written_pages_have_no_crc(self):
         dev, _ = make_device()
         assert dev.check_page(99)
