@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Container
 from dataclasses import dataclass
 
 from repro.buffer.frames import BlobView, ExtentFrame
@@ -178,7 +179,10 @@ class BufferPoolBase:
             if obs is not None:
                 obs.begin("pool.load")
             try:
-                self._make_room(sum(n for _, n in missing))
+                # The request's hits stay: evicting one would leave it
+                # unreadable below, after the frames before it were pinned.
+                self._make_room(sum(n for _, n in missing),
+                                keep={pid for pid, _ in ranges})
                 tickets = [self.io.submit_read(pid, n)
                            for pid, n in missing]
                 self._device_call(self.io.drain)
@@ -203,9 +207,8 @@ class BufferPoolBase:
             # One batch acquisition: pages latched together are unordered
             # with respect to each other (the pool pins them atomically).
             san.on_latch_acquire([pid for pid, _ in ranges])
-        frames = []
-        for pid, _ in ranges:
-            frame = self._frames[pid]
+        frames = [self._frames[pid] for pid, _ in ranges]
+        for frame in frames:
             if san is not None:
                 frame.san = san
             if race is not None:
@@ -213,7 +216,6 @@ class BufferPoolBase:
             self._touch(frame)
             if pin:
                 frame.pins += 1
-            frames.append(frame)
         return frames
 
     def unpin(self, frames: list[ExtentFrame]) -> None:
@@ -309,25 +311,30 @@ class BufferPoolBase:
             if frame.san is not None:
                 frame.san.on_frame_drop(head_pid)
 
-    def _make_room(self, npages: int) -> None:
+    def _make_room(self, npages: int, keep: Container[int] = ()) -> None:
         if npages > self.capacity_pages:
             raise ValueError(
                 f"extent batch of {npages} pages exceeds pool capacity "
                 f"{self.capacity_pages}")
         guard = 0
         while self._used_pages + npages > self.capacity_pages:
-            if not self._evict_one(force=guard > 2 * len(self._frames) + 8):
+            if not self._evict_one(force=guard > 2 * len(self._frames) + 8,
+                                   keep=keep):
                 guard += 1
                 if guard > 4 * len(self._frames) + 16:
                     raise RuntimeError(
                         "buffer pool wedged: everything pinned or protected")
 
-    def _evict_one(self, force: bool = False) -> bool:
+    def _evict_one(self, force: bool = False,
+                   keep: Container[int] = ()) -> bool:
         """Fair (size-weighted) eviction of one extent (Section III-G).
 
         An N-page extent is accepted with probability proportional to N:
         ``rand(MAX_EXT_SIZE) < extent_size`` — so large extents leave the
-        pool N times more readily than single pages.
+        pool N times more readily than single pages.  Head pids in
+        ``keep`` are never evicted; they are skipped only after their
+        acceptance draw, so a run that never draws one of them consumes
+        the same random stream as one without ``keep``.
         """
         candidates = list(self._frames.values())
         if not candidates:
@@ -341,7 +348,7 @@ class BufferPoolBase:
                     self._rng.randrange(self._max_extent_pages) < frame.npages
             else:
                 accept = True
-            if not accept:
+            if not accept or frame.head_pid in keep:
                 continue
             obs = self.model.obs
             if obs is not None:

@@ -88,6 +88,27 @@ class TestFetchAndResidency:
         # Three commands in the batch, but issued together.
         assert pool.device.stats.read_requests - before == 3
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_mixed_fetch_never_evicts_its_own_hits(self, seed):
+        """Room for the misses is never made by evicting a hit.
+
+        With the pool full of equal extents, any of them may be drawn
+        as the victim; drawing the request's own hit used to raise
+        ``KeyError`` after pinning the frames before it.
+        """
+        pool = make_pool("vmcache", capacity_pages=8, seed=seed)
+        for pid in (0, 10, 30, 40, 50):
+            pool.device.write(pid, bytes([pid]) * (2 * PAGE))
+        for pid in (0, 30, 40, 50):
+            pool.unpin(pool.fetch_extents([(pid, 2)]))
+        frames = pool.fetch_extents([(30, 2), (0, 2), (10, 2)])
+        assert [bytes(f.data[:1]) for f in frames] == [b"\x1e", b"\x00",
+                                                       b"\x0a"]
+        assert pool.is_resident(0) and pool.is_resident(30)
+        assert pool.stats.evictions == 1
+        pool.unpin(frames)
+        assert all(f.pins == 0 for f in pool._frames.values())
+
     def test_allocate_frame_is_protected_by_default(self):
         pool = make_pool("vmcache")
         frame = pool.allocate_frame(5, 2)
