@@ -45,12 +45,15 @@ class BTreeStats:
 
 
 class _Node:
-    __slots__ = ("keys", "values", "children")
+    __slots__ = ("keys", "values", "children", "kbytes")
 
     def __init__(self) -> None:
         self.keys: list[Any] = []
         self.values: list[Any] = []       # leaves only
         self.children: list["_Node"] = []  # inner nodes only
+        #: Leaves only: sum of ``key_size`` over ``keys``, kept current
+        #: on insert, delete and split so a capacity check is O(1).
+        self.kbytes = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -108,8 +111,7 @@ class BTree:
         n = len(node.keys)
         if n == 0:
             return 0
-        sizes = [self._key_size(k) for k in node.keys]
-        total = sum(sizes) + n * self._entry_overhead
+        total = node.kbytes + n * self._entry_overhead
         prefix = self._node_prefix_len(node)
         # The shared prefix is stored once instead of n times.
         return total - prefix * (n - 1)
@@ -193,6 +195,7 @@ class BTree:
                 return None
             node.keys.insert(idx, key)
             node.values.insert(idx, value)
+            node.kbytes += self._key_size(key)
             self._count += 1
             if self._leaf_overfull(node):
                 return self._split_leaf(node)
@@ -212,8 +215,10 @@ class BTree:
         right = _Node()
         right.keys = node.keys[mid:]
         right.values = node.values[mid:]
+        right.kbytes = sum(self._key_size(k) for k in right.keys)
         node.keys = node.keys[:mid]
         node.values = node.values[:mid]
+        node.kbytes -= right.kbytes
         sep = self._separator(node.keys[-1], right.keys[0])
         return sep, right
 
@@ -259,7 +264,7 @@ class BTree:
         if node.is_leaf:
             idx = self._lower_bound(node.keys, key)
             if idx < len(node.keys) and self._cmp(node.keys[idx], key) == 0:
-                node.keys.pop(idx)
+                node.kbytes -= self._key_size(node.keys.pop(idx))
                 node.values.pop(idx)
                 self._count -= 1
                 return True

@@ -228,3 +228,42 @@ class TestPropertyBased:
             assert tree.lookup(k) == k
         for k in to_delete:
             assert tree.lookup(k) is None
+
+    @given(st.lists(st.tuples(st.booleans(),
+                              st.binary(min_size=1, max_size=12)),
+                    max_size=300),
+           st.sampled_from([None, lambda k: 3 * len(k) + 1]))
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_byte_counters_match_full_recount(self, ops, key_size):
+        """Per-leaf key-byte counters survive insert/delete/split streams."""
+        tree = BTree(key_size=key_size, node_bytes=128)
+        size = key_size or len
+        for is_insert, k in ops:
+            if is_insert:
+                tree.insert(k, k)
+            else:
+                tree.delete(k)
+        leaves = inners = leaf_bytes = inner_bytes = 0
+        stack = [tree._root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                inners += 1
+                inner_bytes += sum(size(k) for k in node.keys) \
+                    + len(node.children) * 16
+                stack.extend(node.children)
+                continue
+            leaves += 1
+            recount = sum(size(k) for k in node.keys)
+            assert node.kbytes == recount
+            n = len(node.keys)
+            expected = 0 if n == 0 else recount + n * 16 \
+                - tree._node_prefix_len(node) * (n - 1)
+            assert tree._leaf_bytes(node) == expected
+            leaf_bytes += expected
+        stats = tree.stats()
+        assert (stats.leaf_count, stats.inner_count) == (leaves, inners)
+        assert stats.leaf_key_bytes == leaf_bytes
+        assert stats.inner_key_bytes == inner_bytes
+        assert stats.size_bytes == leaf_bytes + inner_bytes \
+            + (leaves + inners) * 32
