@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
@@ -66,7 +67,9 @@ class BTree:
     Parameters
     ----------
     cmp:
-        Three-way comparator over keys; defaults to byte order.
+        Three-way comparator over keys; defaults to byte order.  Without
+        one, searches use :mod:`bisect` and ``==``, which order keys
+        exactly as :func:`bytes_cmp` does.
     key_size:
         Size in bytes an entry's key occupies on a page; defaults to
         ``len(key)`` (works for ``bytes`` keys).  For object keys (e.g.
@@ -88,6 +91,8 @@ class BTree:
         if node_bytes < 64:
             raise ValueError("node_bytes too small to hold any entry")
         self._cmp = cmp or bytes_cmp
+        #: Default order: search natively instead of through ``_cmp``.
+        self._native = cmp is None
         self._key_size = key_size or (lambda k: len(k))
         self._node_bytes = node_bytes
         self._entry_overhead = entry_overhead
@@ -154,6 +159,8 @@ class BTree:
 
     def _lower_bound(self, keys: list[Any], key: Any) -> int:
         """First index whose key is >= ``key``."""
+        if self._native:
+            return bisect_left(keys, key)
         lo, hi = 0, len(keys)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -165,6 +172,8 @@ class BTree:
 
     def _child_index(self, node: _Node, key: Any) -> int:
         """Index of the child subtree that may contain ``key``."""
+        if self._native:
+            return bisect_right(node.keys, key)
         lo, hi = 0, len(node.keys)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -173,6 +182,15 @@ class BTree:
             else:
                 lo = mid + 1
         return lo
+
+    def _leaf_find(self, keys: list[Any], key: Any) -> tuple[int, bool]:
+        """Lower bound of ``key`` in a leaf, and whether it is stored."""
+        idx = self._lower_bound(keys, key)
+        if idx == len(keys):
+            return idx, False
+        if self._native:
+            return idx, keys[idx] == key
+        return idx, self._cmp(keys[idx], key) == 0
 
     # -- public operations -----------------------------------------------------------
 
@@ -189,8 +207,8 @@ class BTree:
     def _insert(self, node: _Node, key: Any, value: Any):
         self._visit(node)
         if node.is_leaf:
-            idx = self._lower_bound(node.keys, key)
-            if idx < len(node.keys) and self._cmp(node.keys[idx], key) == 0:
+            idx, found = self._leaf_find(node.keys, key)
+            if found:
                 node.values[idx] = value
                 return None
             node.keys.insert(idx, key)
@@ -235,13 +253,24 @@ class BTree:
     def lookup(self, key: Any) -> Any | None:
         """Return the value stored under ``key`` or ``None``."""
         node = self._root
+        if self._native:
+            model = self._model
+            while node.children:
+                if model is not None:
+                    model.btree_node()
+                node = node.children[bisect_right(node.keys, key)]
+            if model is not None:
+                model.btree_node()
+            keys = node.keys
+            idx = bisect_left(keys, key)
+            if idx < len(keys) and keys[idx] == key:
+                return node.values[idx]
+            return None
         while True:
             self._visit(node)
             if node.is_leaf:
-                idx = self._lower_bound(node.keys, key)
-                if idx < len(node.keys) and self._cmp(node.keys[idx], key) == 0:
-                    return node.values[idx]
-                return None
+                idx, found = self._leaf_find(node.keys, key)
+                return node.values[idx] if found else None
             node = node.children[self._child_index(node, key)]
 
     def __contains__(self, key: Any) -> bool:
@@ -262,8 +291,8 @@ class BTree:
 
     def _delete(self, node: _Node, key: Any) -> bool:
         if node.is_leaf:
-            idx = self._lower_bound(node.keys, key)
-            if idx < len(node.keys) and self._cmp(node.keys[idx], key) == 0:
+            idx, found = self._leaf_find(node.keys, key)
+            if found:
                 node.kbytes -= self._key_size(node.keys.pop(idx))
                 node.values.pop(idx)
                 self._count -= 1
@@ -279,24 +308,53 @@ class BTree:
 
     def scan(self, start: Any | None = None,
              end: Any | None = None) -> Iterator[tuple[Any, Any]]:
-        """Yield ``(key, value)`` in order for ``start <= key < end``."""
-        yield from self._scan(self._root, start, end)
+        """Yield ``(key, value)`` in order for ``start <= key < end``.
 
-    def _scan(self, node: _Node, start: Any | None, end: Any | None):
-        self._visit(node)
-        if node.is_leaf:
-            idx = 0 if start is None else self._lower_bound(node.keys, start)
-            for i in range(idx, len(node.keys)):
-                if end is not None and self._cmp(node.keys[i], end) >= 0:
-                    return
-                yield node.keys[i], node.values[i]
-            return
-        ci = 0 if start is None else self._child_index(node, start)
-        for i in range(ci, len(node.children)):
-            if i > ci and end is not None and \
-                    self._cmp(node.keys[i - 1], end) >= 0:
+        Nodes are visited (and charged) in recursive-descent order, each
+        one just before its first entry is produced.
+        """
+        model = self._model
+        native = self._native
+        cmp = self._cmp
+        node = self._root
+        # One ``[inner node, next child index]`` per level above ``node``.
+        path: list[list[Any]] = []
+        while True:
+            if model is not None:
+                model.btree_node()
+            if node.children:
+                ci = 0 if start is None else self._child_index(node, start)
+                path.append([node, ci + 1])
+                node = node.children[ci]
+                continue
+            keys, values = node.keys, node.values
+            idx = 0 if start is None else self._lower_bound(keys, start)
+            # ``start`` bounds the leftmost descent only.
+            start = None
+            if native:
+                stop = len(keys) if end is None \
+                    else bisect_left(keys, end, idx)
+                yield from zip(keys[idx:stop], values[idx:stop])
+            else:
+                for i in range(idx, len(keys)):
+                    if end is not None and cmp(keys[i], end) >= 0:
+                        break
+                    yield keys[i], values[i]
+            # Climb to the next child to visit; a separator >= ``end``
+            # closes its node.
+            while path:
+                frame = path[-1]
+                parent, i = frame
+                if i < len(parent.children) and (
+                        end is None
+                        or (parent.keys[i - 1] < end if native
+                            else cmp(parent.keys[i - 1], end) < 0)):
+                    frame[1] = i + 1
+                    node = parent.children[i]
+                    break
+                path.pop()
+            else:
                 return
-            yield from self._scan(node.children[i], start if i == ci else None, end)
 
     def first(self) -> tuple[Any, Any] | None:
         """Smallest entry, or ``None`` if empty."""

@@ -154,12 +154,14 @@ class BlobManager:
             logical += ext_bytes
         frames = self.pool.fetch_extents(ranges, pin=True)
         try:
-            pieces = [bytes(frame.data[lo - base:hi - base])
-                      for frame, (base, lo, hi) in zip(frames, windows)]
+            # One copy: ``join`` reads the memoryview windows in place.
+            data = b"".join([memoryview(frame.data)[lo - base:hi - base]
+                             for frame, (base, lo, hi)
+                             in zip(frames, windows)])
         finally:
             self.pool.unpin(frames)
         self.model.memcpy(length)
-        return b"".join(pieces)
+        return data
 
     # -- grow ----------------------------------------------------------------
 

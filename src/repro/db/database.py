@@ -202,6 +202,10 @@ class BlobDB:
     def list_tables(self) -> list[str]:
         return sorted(n for n in self._tables if not n.startswith("\x00"))
 
+    def has_table(self, name: str) -> bool:
+        """``name in list_tables()`` without building the list."""
+        return name in self._tables and not name.startswith("\x00")
+
     def _table(self, name: str) -> BTree:
         try:
             return self._tables[name]

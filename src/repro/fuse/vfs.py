@@ -10,11 +10,15 @@ from __future__ import annotations
 import errno
 import stat as stat_module
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.core.blob_state import BlobState
 from repro.db.database import BlobDB
 from repro.db.errors import KeyNotFoundError, TableNotFoundError
-from repro.db.transaction import Transaction
+from repro.db.transaction import Transaction, TxnStatus
+
+if TYPE_CHECKING:
+    from repro.namespace.intervals import NsNode
 
 
 class FuseError(OSError):
@@ -92,7 +96,10 @@ class BlobFuse:
             return "", None
         if len(parts) == 1:
             return parts[0], None
-        return parts[0], "/".join(parts[1:]).encode()
+        # ``surrogateescape`` inverts the decoding listings use, so a
+        # listed non-UTF-8 name resolves back to its key.
+        return parts[0], "/".join(parts[1:]).encode("utf-8",
+                                                    "surrogateescape")
 
     def _state(self, table: str, key: bytes,
                txn: Transaction | None = None) -> BlobState:
@@ -111,12 +118,10 @@ class BlobFuse:
         table, key = self._split(path)
         if not table:
             return FileAttr(st_mode=_DIR_MODE, st_size=0, st_nlink=2)
+        if not self.db.has_table(table):
+            raise FuseError(errno.ENOENT)
         if key is None:
-            if table in self.db.list_tables():
-                return FileAttr(st_mode=_DIR_MODE, st_size=0, st_nlink=2)
-            raise FuseError(errno.ENOENT)
-        if table not in self.db.list_tables():
-            raise FuseError(errno.ENOENT)
+            return FileAttr(st_mode=_DIR_MODE, st_size=0, st_nlink=2)
         value = self.db._table(table).lookup(key)
         if value is not None:
             size = value.size if isinstance(value, BlobState) else len(value)
@@ -140,7 +145,7 @@ class BlobFuse:
         table, key = self._split(path)
         if not table:
             return [".", ".."] + self.db.list_tables()
-        if table not in self.db.list_tables():
+        if not self.db.has_table(table):
             raise FuseError(errno.ENOENT)
         if key is not None:
             if self.db.exists(table, key):
@@ -174,7 +179,7 @@ class BlobFuse:
         """
         self.db.model.syscall("readdir")
         table, key = self._split(path)
-        if table and table not in self.db.list_tables():
+        if table and not self.db.has_table(table):
             raise FuseError(errno.ENOENT)
         if table and key is not None and self.db.exists(table, key):
             raise FuseError(errno.ENOTDIR)
@@ -185,8 +190,15 @@ class BlobFuse:
                 if key is None:  # existing but empty table
                     return []
                 raise FuseError(errno.ENOENT)
-            entries = [(n.rel_path(root), not n.is_file, n.size)
-                       for n in self.ns.iter_subtree(root)]
+            # The scan yields every node after its parent, so each path
+            # is its parent's path plus one name.
+            paths: dict[NsNode, str] = {}
+            entries = []
+            for n in self.ns.subtree(root):
+                rel = n.name if n.parent is root \
+                    else paths[n.parent] + "/" + n.name
+                paths[n] = rel
+                entries.append((rel, not n.is_file, n.size))
             return sorted(entries)
         out: list[tuple[str, bool, int]] = []
         base = "/" + path.strip("/") if path.strip("/") else ""
@@ -256,6 +268,8 @@ class BlobFuse:
         size clamp, taken to the buffer manager).
         """
         self.db.model.syscall("pread")
+        if offset < 0 or size < 0:
+            raise FuseError(errno.EINVAL)
         txn, table, key = self._resolve(fh)
         state = self._state(table, key, txn)
         if offset >= state.size:
@@ -266,7 +280,6 @@ class BlobFuse:
     def flush(self, fh: int) -> None:
         """``close()`` triggers flush: commit the wrapping transaction."""
         txn, _, _ = self._resolve(fh)
-        from repro.db.transaction import TxnStatus
         if txn.status is TxnStatus.ACTIVE:
             self.db.commit(txn)
 
@@ -274,7 +287,6 @@ class BlobFuse:
         self.db.model.syscall("close")
         txn, _, _ = self._handles.pop(fh, (None, None, None))
         if txn is not None:
-            from repro.db.transaction import TxnStatus
             if txn.status is TxnStatus.ACTIVE:
                 self.db.commit(txn)
 

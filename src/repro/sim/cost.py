@@ -288,19 +288,27 @@ class CostModel:
     # -- internal charging helpers -----------------------------------------
 
     def _charge_user(self, ns: float, cache_misses: int = 0) -> None:
-        self.clock.advance(ns)
-        cycles = int(ns / NS_PER_CYCLE)
-        self.counters.cycles += cycles
-        self.counters.instructions += int(ns)  # ~1 instr unit per user ns
-        self.counters.cache_misses += cache_misses
+        # Inlines ``clock.advance``: these two helpers run on every charge.
+        if ns < 0:
+            raise ValueError(f"cannot move time backwards ({ns} ns)")
+        self.clock.now_ns += int(ns)
+        counters = self.counters
+        counters.cycles += int(ns / NS_PER_CYCLE)
+        counters.instructions += int(ns)  # ~1 instr unit per user ns
+        if cache_misses:
+            counters.cache_misses += cache_misses
 
     def _charge_kernel(self, ns: float, cache_misses: int = 0) -> None:
-        self.clock.advance(ns)
+        if ns < 0:
+            raise ValueError(f"cannot move time backwards ({ns} ns)")
+        self.clock.now_ns += int(ns)
         cycles = int(ns / NS_PER_CYCLE)
-        self.counters.cycles += cycles
-        self.counters.kernel_cycles += cycles
-        self.counters.instructions += int(ns * 0.6)
-        self.counters.cache_misses += cache_misses
+        counters = self.counters
+        counters.cycles += cycles
+        counters.kernel_cycles += cycles
+        counters.instructions += int(ns * 0.6)
+        if cache_misses:
+            counters.cache_misses += cache_misses
 
     # -- CPU / memory primitives --------------------------------------------
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.btree import BTree
+from repro.btree.btree import bytes_cmp
 from repro.sim.cost import CostModel
 
 
@@ -267,3 +268,124 @@ class TestPropertyBased:
         assert stats.inner_key_bytes == inner_bytes
         assert stats.size_bytes == leaf_bytes + inner_bytes \
             + (leaves + inners) * 32
+
+
+def _recursive_scan(tree, node, start, end):
+    """The recursive scan the iterative one replaced, as a reference
+    for the order of node charges."""
+    tree._visit(node)
+    if node.is_leaf:
+        idx = 0 if start is None else tree._lower_bound(node.keys, start)
+        for i in range(idx, len(node.keys)):
+            if end is not None and bytes_cmp(node.keys[i], end) >= 0:
+                return
+            yield node.keys[i], node.values[i]
+        return
+    ci = 0 if start is None else tree._child_index(node, start)
+    for i in range(ci, len(node.children)):
+        if i > ci and end is not None and \
+                bytes_cmp(node.keys[i - 1], end) >= 0:
+            return
+        yield from _recursive_scan(tree, node.children[i],
+                                   start if i == ci else None, end)
+
+
+_short_keys = st.binary(min_size=0, max_size=4).map(
+    lambda b: bytes(c % 4 + 0x61 for c in b))
+_bound = st.one_of(st.none(), _short_keys)
+
+
+class TestNativeSearchMatchesComparator:
+    """The default tree searches with ``bisect``/``==``; a tree given
+    ``cmp=bytes_cmp`` takes the comparator loops.  Both must return the
+    same results and charge the same node visits in the same order as
+    the recursive scan they replaced."""
+
+    @staticmethod
+    def _pair():
+        models = CostModel(), CostModel()
+        trees = (BTree(node_bytes=96, model=models[0]),
+                 BTree(cmp=bytes_cmp, node_bytes=96, model=models[1]))
+        assert trees[0]._native and not trees[1]._native
+        return models, trees
+
+    @staticmethod
+    def _trace(items, model, limit):
+        """Up to ``limit`` items, each with the clock when it arrived,
+        and the clock after the consumer stopped."""
+        out = []
+        for item in items:
+            out.append((item, model.clock.now_ns))
+            if len(out) == limit:
+                break
+        return out, model.clock.now_ns
+
+    def _scans_agree(self, models, trees, start, end, limit):
+        """Scan both trees and the recursive reference (on a third model
+        started at the same clock); return the items."""
+        reference = CostModel()
+        reference.clock.now_ns = models[0].clock.now_ns
+        ref_tree = BTree(node_bytes=96, model=reference)
+        want = self._trace(_recursive_scan(ref_tree, trees[0]._root,
+                                           start, end), reference, limit)
+        for tree, model in zip(trees, models):
+            assert self._trace(tree.scan(start, end), model, limit) == \
+                want, (tree._native, start, end)
+        return [item for item, _ in want[0]]
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("insert"), _short_keys),
+        st.tuples(st.just("delete"), _short_keys),
+        st.tuples(st.just("lookup"), _short_keys),
+        st.tuples(st.just("scan"), _bound, _bound,
+                  st.integers(min_value=1, max_value=40))),
+        max_size=250))
+    @settings(max_examples=80, deadline=None)
+    def test_random_streams_agree(self, ops):
+        models, (native, generic) = self._pair()
+        oracle: dict[bytes, int] = {}
+        for i, (op, *args) in enumerate(ops):
+            if op == "insert":
+                results = [t.insert(args[0], i) for t in (native, generic)]
+                oracle[args[0]] = i
+            elif op == "delete":
+                results = [t.delete(args[0]) for t in (native, generic)]
+                assert results[0] == (oracle.pop(args[0], None) is not None)
+            elif op == "lookup":
+                results = [t.lookup(args[0]) for t in (native, generic)]
+                assert results[0] == oracle.get(args[0])
+            else:
+                start, end, limit = args
+                in_range = sorted(
+                    (k, v) for k, v in oracle.items()
+                    if (start is None or k >= start)
+                    and (end is None or k < end))
+                assert self._scans_agree(models, (native, generic), start,
+                                         end, limit) == in_range[:limit]
+                results = [None, None]
+            assert results[0] == results[1], (op, args)
+            assert len(native) == len(generic) == len(oracle)
+            assert models[0].clock.now_ns == models[1].clock.now_ns
+            assert models[0].counters == models[1].counters
+
+    def test_early_end_and_empty_ranges(self):
+        models, trees = self._pair()
+        for i in range(400):
+            for tree in trees:
+                tree.insert(key(i * 3), i)
+        assert trees[0].stats().height >= 3
+        cases = [(key(30), key(33)),       # cut off inside one leaf
+                 (key(0), key(600)),       # cut off a few leaves in
+                 (key(601), key(601)),     # empty: start == end
+                 (key(900), key(300)),     # empty: end < start
+                 (key(5000), None),        # empty: past the last key
+                 (None, key(0)),           # empty: before the first key
+                 (None, None)]
+        for start, end in cases:
+            expected = [(key(i * 3), i) for i in range(400)
+                        if (start is None or key(i * 3) >= start)
+                        and (end is None or key(i * 3) < end)]
+            for limit in (1, 7, 10_000):  # the consumer may stop early
+                assert self._scans_agree(models, trees, start, end,
+                                         limit) == expected[:limit]
+        assert models[0].counters == models[1].counters

@@ -127,6 +127,44 @@ class TestOpenReadClose:
             fuse.read(999, 10, 0)
         assert exc.value.errno == errno.EBADF
 
+    @pytest.mark.parametrize("size, offset", [(10, -1), (-1, 0), (-5, -5)])
+    def test_negative_offset_or_size_einval(self, fuse, size, offset):
+        """Like pread(2): EINVAL, not a bare ValueError from below."""
+        fh = fuse.open("/document/a.txt")
+        with pytest.raises(FuseError) as exc:
+            fuse.read(fh, size, offset)
+        assert exc.value.errno == errno.EINVAL
+        assert fuse.read(fh, 5, 6) == b"world"  # the handle stays usable
+        fuse.release(fh)
+
+    def test_read_charges_syscall_lookup_and_range_copy(self):
+        """A valid read costs one ``pread`` upcall, one Blob State lookup
+        and the bounded copy-out; a rejected one only the upcall."""
+        def build():
+            database = BlobDB(small_config())
+            database.create_table("image")
+            with database.transaction() as txn:
+                database.put_blob(txn, "image", b"cat.jpg",
+                                  b"\xff\xd8meow" * 1000)
+            fs = BlobFuse(database)
+            return database, fs, fs.open("/image/cat.jpg")
+
+        db, fs, fh = build()
+        twin, twin_fs, twin_fh = build()
+        assert db.model.clock.now_ns == twin.model.clock.now_ns
+        assert fs.read(fh, 3000, 1234) == (b"\xff\xd8meow" * 1000)[1234:4234]
+        model = twin.model
+        model.syscall("pread")
+        txn, table, key = twin_fs._handles[twin_fh]
+        twin.blobs.read_range(twin.get_state(table, key, txn), 1234, 3000)
+        assert db.model.clock.now_ns == model.clock.now_ns
+        assert db.model.counters == model.counters
+        with pytest.raises(FuseError):
+            fs.read(fh, 10, -1)
+        model.syscall("pread")
+        assert db.model.clock.now_ns == model.clock.now_ns
+        assert db.model.counters == model.counters
+
     def test_flush_then_release(self, fuse):
         fh = fuse.open("/document/a.txt")
         fuse.flush(fh)

@@ -118,6 +118,69 @@ class TestDeepTreeLookups:
             btree.subtree_statfs("/tree")
 
 
+class TestListingPaths:
+    """The accelerated ``readdir_recursive`` builds each path from its
+    parent's; it must equal the per-entry ``NsNode.rel_path`` walk."""
+
+    #: ``a`` and ``a/c`` are both a file and a directory (S3-style).
+    KEYS = DEEP_KEYS + [b"a", b"a/c", b"a/c/d.txt", b"z/\xff\xfe.bin"]
+
+    @classmethod
+    def _fs(cls, attach):
+        db = BlobDB(small_config())
+        db.create_table("tree")
+        with db.transaction() as txn:
+            for i, key in enumerate(cls.KEYS):
+                db.put(txn, "tree", key, b"#" * (i + 1))
+        fs = BlobFuse(db)
+        if attach:
+            fs.attach_namespace()
+        return fs
+
+    @staticmethod
+    def _rel_paths(fs, path):
+        table, key = fs._split(path)
+        ns = fs.ns
+        root = ns._root if not table else ns.resolve(table, key or b"")
+        return sorted((n.rel_path(root), not n.is_file, n.size)
+                      for n in ns.iter_subtree(root))
+
+    @staticmethod
+    def _hide_below_files(entries):
+        """Drop what the per-level walk cannot see: it takes a node that
+        is also a file for a file and does not descend into it."""
+        files = {p for p, is_dir, _ in entries if not is_dir}
+        return [e for e in entries
+                if not any(e[0].startswith(f + "/") for f in files)]
+
+    PATHS = ("/", "/tree", "/tree/a/b", "/tree/a/b/c", "/tree/z")
+
+    def test_paths_match_rel_path_and_per_level_walk(self):
+        walk = self._fs(attach=False)
+        fs = self._fs(attach=True)
+        assert fs.ns.resolve("tree", b"a").is_file
+        assert fs.ns.resolve("tree", b"a").is_dir
+        for path in self.PATHS:
+            got = fs.readdir_recursive(path)
+            assert got == self._rel_paths(fs, path), path
+            assert self._hide_below_files(got) == \
+                walk.readdir_recursive(path), path
+        assert ("tree/a/c/d.txt", False, len(self.KEYS) - 1) in \
+            fs.readdir_recursive("/")
+
+    def test_paths_survive_renumbering(self):
+        fs = self._fs(attach=True)
+        before = {path: fs.readdir_recursive(path) for path in self.PATHS}
+        renumbers = fs.ns.renumbers
+        fs.ns._renumber()
+        assert fs.ns.renumbers == renumbers + 1
+        assert fs.ns.verify() == []
+        for path in self.PATHS:
+            got = fs.readdir_recursive(path)
+            assert got == before[path], path
+            assert got == self._rel_paths(fs, path), path
+
+
 class TestChurnAndRecovery:
     def test_unlink_mkdir_churn_stays_consistent(self):
         fs = deep_fs(attach=True)

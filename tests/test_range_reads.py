@@ -71,6 +71,30 @@ class TestReadRange:
         assert db.read_blob_range("t", b"k", 12_000, 2000) == \
             payload[12_000:14_000]
 
+    def test_range_read_leaves_no_buffer_exports(self, db):
+        """The copy-out reads frames through memoryviews; none may stay
+        exported, or the pool could not resize or drop a frame."""
+        payload = striped(100_000)
+        with db.transaction() as txn:
+            db.put_blob(txn, "t", b"k", payload)
+        state = db.get_state("t", b"k")
+        got = db.blobs.read_range(state, 3_000, 60_000)
+        assert type(got) is bytes
+        assert got == payload[3_000:63_000]
+        frames, logical = [], 0
+        for pid, npages in state.page_ranges(db.blobs.tiers):
+            if logical < 63_000 and logical + npages * 4096 > 3_000:
+                frames.append(db.pool._frames[pid])
+            logical += npages * 4096
+        assert len(frames) >= 3  # the read crossed extent boundaries
+        # Resizing an exported bytearray raises BufferError.
+        for frame in frames:
+            frame.data.append(0)
+            del frame.data[-1]
+        assert db.blobs.read_range(state, 3_000, 60_000) == got
+        for frame in frames:
+            frame.data.clear()
+
     def test_range_on_tail_extent_blob(self, db):
         payload = striped(6 * 4096)
         with db.transaction() as txn:
