@@ -27,29 +27,6 @@ class PoolStats:
         return self.hits / total if total else 0.0
 
 
-def shuffle(rng: random.Random, items: list) -> None:
-    """Shuffle ``items`` in place exactly as ``rng.shuffle(items)`` does.
-
-    Same permutation, same RNG state afterwards: CPython's ``shuffle``
-    draws ``j`` for ``i = n-1 .. 1`` with ``_randbelow(i + 1)``, i.e.
-    ``getrandbits(k)`` with ``k = (i + 1).bit_length()``, redrawn while
-    ``j > i``.  This makes the same ``getrandbits`` calls inline, without
-    two method calls and a ``bit_length`` per element, so eviction draws
-    (and every virtual result downstream) stay byte-identical.
-    """
-    getrandbits = rng.getrandbits
-    k = len(items).bit_length()
-    edge = (1 << k >> 1) - 1  # smallest i whose (i + 1) has k bits
-    for i in range(len(items) - 1, 0, -1):
-        if i < edge:
-            k -= 1
-            edge >>= 1
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        items[i], items[j] = items[j], items[i]
-
-
 class BufferPoolBase:
     """Extent-granular buffer pool over a simulated device.
 
@@ -160,7 +137,8 @@ class BufferPoolBase:
 
         This is the paper's read path: "allocates N buffer frames for all
         those extents and reads the extents using a single asynchronous
-        IO system call" (Section III-D).
+        IO system call" (Section III-D).  A pid listed twice is loaded
+        once, counted as two misses and pinned twice.
         """
         missing: list[tuple[int, int]] = []
         for pid, npages in ranges:
@@ -176,6 +154,7 @@ class BufferPoolBase:
             obs.count("pool.hits", len(ranges) - len(missing))
             obs.count("pool.misses", len(missing))
         if missing:
+            missing = list(dict.fromkeys(missing))  # load a repeat once
             if obs is not None:
                 obs.begin("pool.load")
             try:
@@ -335,20 +314,38 @@ class BufferPoolBase:
         ``keep`` are never evicted; they are skipped only after their
         acceptance draw, so a run that never draws one of them consumes
         the same random stream as one without ``keep``.
+
+        The visiting order is a partial Fisher–Yates drawn lazily: step
+        ``t`` swaps ``t + randrange(n - t)`` into ``t``.  Both draws make
+        ``randrange``'s ``getrandbits`` calls inline, ``k`` tracking the
+        bit length of ``n - t``.
         """
         candidates = list(self._frames.values())
-        if not candidates:
-            return False
-        shuffle(self._rng, candidates)
-        for frame in candidates:
+        getrandbits = self._rng.getrandbits
+        fair = self.eviction_policy == "fair" and not force
+        bound = self._max_extent_pages
+        kbound = bound.bit_length()
+        n = len(candidates)
+        k = n.bit_length()
+        low = 1 << k >> 1  # smallest range size with k bits
+        for t in range(n):
+            if n - t < low:
+                k -= 1
+                low >>= 1
+            j = getrandbits(k) + t
+            while j >= n:
+                j = getrandbits(k) + t
+            frame = candidates[j]
+            candidates[j] = candidates[t]  # position t is never read again
             if frame.prevent_evict or frame.pins > 0:
                 continue
-            if self.eviction_policy == "fair":
-                accept = force or \
-                    self._rng.randrange(self._max_extent_pages) < frame.npages
-            else:
-                accept = True
-            if not accept or frame.head_pid in keep:
+            if fair:
+                r = getrandbits(kbound)
+                while r >= bound:
+                    r = getrandbits(kbound)
+                if r >= frame.npages:
+                    continue
+            if frame.head_pid in keep:
                 continue
             obs = self.model.obs
             if obs is not None:

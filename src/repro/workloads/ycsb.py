@@ -12,7 +12,6 @@ regenerating megabytes of random data per op.
 
 from __future__ import annotations
 
-import math
 import random
 import struct
 from dataclasses import dataclass
@@ -96,9 +95,10 @@ class YcsbWorkload:
         stamp = struct.pack(">IQ", index & 0xFFFFFFFF, self._stamp)
         if size <= len(stamp):
             return stamp[:size]
+        # ``(stamp + body * reps)[:size]``, built with one copy.
         body = self._base
-        reps = math.ceil((size - len(stamp)) / len(body))
-        return (stamp + body * reps)[:size]
+        full, tail = divmod(size - len(stamp), len(body))
+        return b"".join((stamp, *(body,) * full, memoryview(body)[:tail]))
 
     def load_phase(self) -> Iterator[tuple[bytes, bytes]]:
         """Initial dataset: every record inserted once."""

@@ -6,7 +6,6 @@ import pytest
 
 from repro.buffer.frames import BlobView, ExtentFrame, join_frames
 from repro.buffer.hashtable_pool import HashTablePool
-from repro.buffer.pool import shuffle
 from repro.buffer.vmcache import VmcachePool
 from repro.sim.cost import CostModel
 from repro.storage.device import SimulatedNVMe
@@ -108,6 +107,23 @@ class TestFetchAndResidency:
         assert pool.stats.evictions == 1
         pool.unpin(frames)
         assert all(f.pins == 0 for f in pool._frames.values())
+
+    @pytest.mark.parametrize("kind", ["vmcache", "hashtable"])
+    def test_repeated_missing_extent_loads_once(self, kind):
+        """A pid listed twice in one fetch is read once and pinned twice;
+        loading it twice used to leak its pages after ``drop``."""
+        pool = make_pool(kind)
+        pool.device.write(10, b"\x0a" * (4 * PAGE))
+        frames = pool.fetch_extents([(10, 4), (10, 4)])
+        assert frames[0] is frames[1]
+        assert frames[0].pins == 2
+        assert pool.device.stats.read_requests == 1
+        assert pool.used_pages == 4
+        assert pool.stats.misses == 2
+        pool.unpin(frames)
+        assert frames[0].pins == 0
+        pool.drop(10)
+        assert pool.used_pages == 0
 
     def test_allocate_frame_is_protected_by_default(self):
         pool = make_pool("vmcache")
@@ -214,21 +230,6 @@ class TestEviction:
         # The 16-page extent is 16x more likely than a 1-page extent.
         assert evicted_large > trials * 0.5
 
-    @pytest.mark.parametrize("seed", [0, 1, 2024])
-    def test_shuffle_matches_stdlib(self, seed):
-        """Same permutation and same RNG state as ``Random.shuffle``.
-
-        Eviction order, and through it every virtual result, depends on
-        this; a change to CPython's shuffle must fail here, not drift.
-        """
-        ours, ref = random.Random(seed), random.Random(seed)
-        for n in range(1101):
-            got, want = list(range(n)), list(range(n))
-            shuffle(ours, got)
-            ref.shuffle(want)
-            assert got == want, n
-            assert ours.getrandbits(32) == ref.getrandbits(32), n
-
     def test_drop_all_volatile(self):
         pool = make_pool("vmcache")
         pool.allocate_frame(0, 4)
@@ -241,6 +242,147 @@ class TestEviction:
         pool.allocate_frame(0, 4)
         pool.drop(0)
         assert pool.used_pages == 0
+
+
+def reference_evict_one(pool, force=False, keep=()):
+    """``_evict_one`` written plainly: a partial Fisher–Yates drawn with
+    ``Random.randrange``, returning the victim without evicting it."""
+    rng = pool._rng
+    candidates = list(pool._frames.values())
+    n = len(candidates)
+    for t in range(n):
+        j = t + rng.randrange(n - t)
+        candidates[t], candidates[j] = candidates[j], candidates[t]
+        frame = candidates[t]
+        if frame.prevent_evict or frame.pins > 0:
+            continue
+        if pool.eviction_policy == "fair" and not force \
+                and rng.randrange(pool._max_extent_pages) >= frame.npages:
+            continue
+        if frame.head_pid in keep:
+            continue
+        return frame
+    return None
+
+
+class Probe:
+    """Stands in for a frame and records each time eviction visits it."""
+
+    def __init__(self, head_pid, npages, visits, *, prevent_evict=False,
+                 pins=0):
+        self.head_pid = head_pid
+        self.npages = npages
+        self.pins = pins
+        self.is_dirty = False
+        self._prevent_evict = prevent_evict
+        self._visits = visits
+
+    @property
+    def prevent_evict(self):
+        self._visits.append(self.head_pid)
+        return self._prevent_evict
+
+
+def probe_pool(npages, visits, policy="fair", seed=0, **flags):
+    pool = make_pool("vmcache", capacity_pages=1 << 16, seed=seed)
+    pool.eviction_policy = policy
+    for pid, n in enumerate(npages):
+        pool._frames[pid] = Probe(pid, n, visits, **flags)
+        pool._used_pages += n
+    pool._max_extent_pages = max(npages)
+    return pool
+
+
+class TestLazyEvictionDraw:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_randrange_reference(self, seed):
+        """Same victim (or ``False``) and the same generator state after
+        each pass (so the same next ``getrandbits(32)``) as the plain
+        ``randrange`` reference, on random pools with protected, pinned
+        and kept frames, both policies, with and without ``force``."""
+        rng = random.Random(seed)
+        policy = rng.choice(["fair", "uniform"])
+        pools = [make_pool("vmcache", capacity_pages=1 << 16, seed=seed)
+                 for _ in range(2)]
+        for _ in range(rng.randrange(0, 120)):
+            pid, npages = rng.randrange(1 << 20), rng.randint(1, 40)
+            if pools[0].is_resident(pid):
+                continue
+            protect, pinned = rng.random() < 0.2, rng.random() < 0.2
+            for pool in pools:
+                pool.eviction_policy = policy
+                frame = pool.allocate_frame(pid, npages,
+                                            prevent_evict=protect)
+                frame.pins = int(pinned)
+        ours, ref = pools
+        for _ in range(30):
+            pids = sorted(ours._frames)
+            keep = set(rng.sample(pids, rng.randrange(len(pids) + 1)))
+            force = rng.random() < 0.25
+            victim = reference_evict_one(ref, force=force, keep=keep)
+            before = set(ours._frames)
+            assert ours._evict_one(force=force, keep=keep) is \
+                (victim is not None)
+            if victim is not None:
+                ref.drop(victim.head_pid)
+                assert before - set(ours._frames) == {victim.head_pid}
+            assert set(ours._frames) == set(ref._frames)
+            assert ours.used_pages == ref.used_pages
+            assert ours._rng.getstate() == ref._rng.getstate()
+
+    @pytest.mark.parametrize("policy,force", [("fair", False),
+                                              ("fair", True),
+                                              ("uniform", False)])
+    @pytest.mark.parametrize("blocker", ["protected", "pinned", "kept"])
+    def test_nothing_evictable_visits_each_frame_once(self, policy, force,
+                                                      blocker):
+        visits = []
+        npages = [1, 3, 8, 2, 5, 1, 13]
+        flags = {"protected": {"prevent_evict": True},
+                 "pinned": {"pins": 1}, "kept": {}}[blocker]
+        pool = probe_pool(npages, visits, policy, **flags)
+        keep = set(range(len(npages))) if blocker == "kept" else ()
+        assert pool._evict_one(force=force, keep=keep) is False
+        assert sorted(visits) == list(range(len(npages)))
+        assert pool.used_pages == sum(npages)
+
+    def test_first_visit_is_uniform(self):
+        """Chi-square of the first visited frame over 10 frames."""
+        visits = []
+        pool = probe_pool([1, 2, 4, 8, 16, 1, 2, 4, 8, 16], visits,
+                          prevent_evict=True)
+        trials = 5000
+        counts = [0] * 10
+        for _ in range(trials):
+            visits.clear()
+            assert pool._evict_one() is False
+            counts[visits[0]] += 1
+        expected = trials / 10
+        chi2 = sum((c - expected) ** 2 / expected for c in counts)
+        assert chi2 < 27.88  # 9 degrees of freedom, p = 0.001
+
+    def test_acceptance_is_proportional_to_size(self):
+        """A visited N-page frame is accepted with probability
+        N / MAX_EXT_SIZE."""
+        visits = []
+        npages = [1, 2, 4, 8, 16]
+        pool = probe_pool(npages, visits)
+        seen, taken = [0] * 5, [0] * 5
+        for _ in range(4000):
+            visits.clear()
+            before = set(pool._frames)
+            assert pool._evict_one() is True
+            (victim,) = before - set(pool._frames)
+            for pid in visits:
+                seen[pid] += 1
+            taken[victim] += 1
+            pool._frames[victim] = Probe(victim, npages[victim], visits)
+            pool._used_pages += npages[victim]
+        assert taken[4] == seen[4]  # the largest extent is always taken
+        for pid, n in enumerate(npages[:-1]):
+            p = n / 16
+            rate = taken[pid] / seen[pid]
+            assert abs(rate - p) < 4 * (p * (1 - p) / seen[pid]) ** 0.5, pid
 
 
 class TestReadBlobViews:

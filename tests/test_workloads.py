@@ -1,6 +1,8 @@
 """Tests for the workload generators."""
 
+import math
 import random
+import struct
 
 import pytest
 
@@ -50,6 +52,40 @@ class TestYcsb:
     def test_payloads_are_distinct(self):
         wl = YcsbWorkload(YcsbConfig(payload=120))
         assert wl.payload_for(1) != wl.payload_for(1)  # stamped
+
+    def test_payload_matches_three_copy_formula(self):
+        """Same bytes and the same generator calls as the old
+        ``(stamp + body * reps)[:size]``, at the edges of the stamp and
+        of the base buffer, and across several base copies."""
+        wl = YcsbWorkload(YcsbConfig(payload=(0, 3 << 20), seed=9))
+        ref_rng = random.Random(9)
+        ref_rng.setstate(wl._rng.getstate())
+        base = wl._base
+        assert len(base) == 1 << 20
+        sizes = [0, 1, 12, 13, len(base) - 1, len(base), len(base) + 1,
+                 len(base) + 12, len(base) + 13, 2 * len(base) + 12,
+                 1 << 20, 3 << 20]
+        stamp_no = 0
+
+        def old(index, size):
+            nonlocal stamp_no
+            stamp_no += 1
+            stamp = struct.pack(">IQ", index & 0xFFFFFFFF, stamp_no)
+            if size <= len(stamp):
+                return stamp[:size]
+            reps = math.ceil((size - len(stamp)) / len(base))
+            return (stamp + base * reps)[:size]
+
+        for i, size in enumerate(sizes):
+            wl.config.payload = size  # fixed size: no draw
+            assert wl.payload_for(i) == old(i, size), size
+        wl.config.payload = (0, 3 << 20)
+        for i in range(20):
+            size = ref_rng.randint(0, 3 << 20)
+            got = wl.payload_for(i)
+            assert type(got) is bytes
+            assert got == old(i, size)
+        assert wl._rng.getstate() == ref_rng.getstate()
 
     def test_read_ratio(self):
         wl = YcsbWorkload(YcsbConfig(n_records=100, payload=64,
