@@ -16,7 +16,8 @@ Commands:
   Perfetto); byte-identical across runs of the same seed;
 * ``bench``    — run the deterministic benchmark baseline suite,
   write ``BENCH_<label>.json``, and optionally gate against a
-  committed baseline (fails on >10 % regression);
+  committed baseline (fails on >10 % regression); ``bench <sweep>``
+  runs one registered gated sweep (``baseline.SWEEPS``) and its checks;
 * ``lint``     — AST determinism/invariant lint (``RPRxxx`` rules) over
   the source tree; exits 1 on findings, ``--json`` for a CI report;
 * ``sanitize`` — run a pinned-seed workload with the runtime
@@ -219,47 +220,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_iodepth(args: argparse.Namespace) -> int:
-    """Queue-depth sweep: print the table, then self-check that the
-    sweep is deterministic (two runs, byte-identical) and that
-    throughput rises monotonically with diminishing returns."""
-    from repro.bench import baseline
-
-    first = baseline.run_iodepth_sweep()
-    second = baseline.run_iodepth_sweep()
-    rows = first["sweep"]
-    print("iodepth sweep (pinned seed, simulated time)")
-    print(f"  {'qd':>4} {'ops':>6} {'op/s':>14} {'p99 us':>10} "
-          f"{'WA':>6} {'coalesce':>9}")
-    for wl in rows:
-        print(f"  {wl['queue_depth']:>4} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['p99']:>10.1f} "
-              f"{wl['write_amplification']:>6.2f} "
-              f"{wl['io']['coalesce_ratio']:>9.4f}")
-    failures = []
-    if baseline.render(first) != baseline.render(second):
-        failures.append("sweep not deterministic: two runs differ")
-    tp = [wl["throughput_ops_s"] for wl in rows]
-    for a, b in zip(tp, tp[1:]):
-        if b < a:
-            failures.append(
-                f"throughput not monotone in queue depth: {a} -> {b}")
-    if len(tp) >= 3 and (tp[-1] - tp[-2]) > (tp[-2] - tp[-3]):
-        failures.append(
-            "no diminishing returns at the deepest queue: gain "
-            f"{tp[-2] - tp[-3]:.1f} then {tp[-1] - tp[-2]:.1f}")
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("iodepth sweep OK: deterministic, monotone, diminishing returns")
-    return 0
-
-
 def _write_shard_traces(trace_dir: str) -> int:
     """Per-shard Chrome traces of a short 4-shard scatter-gather run.
 
@@ -300,27 +260,16 @@ def _write_shard_traces(trace_dir: str) -> int:
     return written
 
 
-def _cmd_bench_shards(args: argparse.Namespace) -> int:
-    """Shard sweep: print the table, then self-check determinism (two
-    runs byte-identical), monotone uniform-key speedup with >=3x at the
-    widest point, and measurable degradation under Zipf skew."""
+def _cmd_bench_sweep(args: argparse.Namespace) -> int:
+    """One registered sweep: run it twice (the two runs must render
+    byte-identically), print its table, run its named checks."""
     from repro.bench import baseline
 
-    first = baseline.run_shard_sweep()
-    second = baseline.run_shard_sweep()
-    rows = first["sweep"]
-    print("shard sweep (scatter-gather makespan, pinned seed)")
-    print(f"  {'shards':>6} {'zipf':>5} {'ops':>6} {'op/s':>14} "
-          f"{'p99 us':>10} {'WA':>6} {'imbalance':>10}")
-    for wl in rows:
-        print(f"  {wl['n_shards']:>6} {wl['zipf_theta']:>5.2f} "
-              f"{wl['ops']:>6} {wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['p99']:>10.1f} "
-              f"{wl['write_amplification']:>6.2f} "
-              f"{wl['shard']['imbalance']:>10.4f}")
-    failures = baseline.shard_sweep_self_check(first, second)
+    sweep = baseline.SWEEPS[args.mode]
+    doc, failures = baseline.check_sweep(sweep)
+    print(baseline.format_sweep(sweep, doc))
     if args.out:
-        baseline.write_baseline(args.out, first)
+        baseline.write_baseline(args.out, doc)
         print(f"wrote {args.out}")
     if args.traces:
         _write_shard_traces(args.traces)
@@ -328,186 +277,17 @@ def _cmd_bench_shards(args: argparse.Namespace) -> int:
         for line in failures:
             print("FAILED: " + line, file=sys.stderr)
         return 1
-    print("shard sweep OK: deterministic, monotone speedup, "
-          "skew degrades as modelled")
-    return 0
-
-
-def _cmd_bench_replication(args: argparse.Namespace) -> int:
-    """Replication sweep: quorum commit-latency points plus the
-    availability-under-storm digest.  Self-checks determinism (two
-    runs byte-identical, digest included), strictly increasing commit
-    latency in quorum size, zero lost acknowledged writes, no torn
-    records, and bounded failover makespans."""
-    from repro.bench import baseline
-
-    first = baseline.run_replication_sweep()
-    second = baseline.run_replication_sweep()
-    print("replication sweep (3-member groups, pinned seed)")
-    print(f"  {'quorum':>6} {'ops':>6} {'op/s':>14} {'mean us':>9} "
-          f"{'p99 us':>10} {'shipped':>8} {'retries':>8}")
-    for wl in first["sweep"]:
-        rep = wl["replication"]
-        print(f"  {wl['quorum']:>6} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>14.1f} "
-              f"{wl['latency_us']['mean']:>9.2f} "
-              f"{wl['latency_us']['p99']:>10.2f} "
-              f"{rep['records_shipped']:>8} {rep['ship_retries']:>8}")
-    storm = first["storm"]
-    print(f"availability storm: {storm['schedules']} kill schedules, "
-          f"{storm['failovers']} failovers / {storm['rejoins']} rejoins, "
-          f"{storm['acked_writes']} acked writes "
-          f"({storm['lost_acked_writes']} lost, "
-          f"{storm['torn_records']} torn), "
-          f"{storm['truncated_records']} divergent records truncated, "
-          f"max failover {storm['max_failover_us']} us")
-    print(f"storm digest: {storm['digest']}")
-    failures = baseline.replication_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("replication sweep OK: deterministic, quorum latency strictly "
-          "ordered, zero lost acked writes, failover bounded")
-    return 0
-
-
-def _cmd_bench_traffic(args: argparse.Namespace) -> int:
-    """Open-loop traffic sweep: closed-loop capacity calibration,
-    offered-load points across the saturation knee, and token-bucket
-    admission under overload.  Self-checks determinism (two runs
-    byte-identical), the knee (throughput saturates while p999 grows),
-    and admission (bounded p999, exact shed accounting)."""
-    from repro.bench import baseline
-
-    first = baseline.run_traffic_sweep()
-    second = baseline.run_traffic_sweep()
-    print("traffic sweep (open-loop arrivals, pinned seed)")
-    print(f"  closed-loop capacity: {first['capacity_ops_s']:.1f} op/s")
-    print(f"  {'offered':>8} {'policy':>7} {'done':>5} {'shed':>5} "
-          f"{'op/s':>12} {'p99 us':>9} {'p999 us':>9} {'depth':>6}")
-    for wl in first["sweep"]:
-        adm = wl["admission"]
-        policy = adm["policy"] if adm else "-"
-        print(f"  {wl['offered_mult']:>7.2f}x {policy:>7} "
-              f"{wl['completed']:>5} {wl['shed']:>5} "
-              f"{wl['throughput_ops_s']:>12.1f} "
-              f"{wl['latency_us']['p99']:>9.1f} "
-              f"{wl['latency_us']['p999']:>9.1f} "
-              f"{wl['max_dispatch_depth']:>6}")
-    failures = baseline.traffic_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("traffic sweep OK: deterministic, knee saturates with a "
-          "growing tail, admission bounds p999 with exact shed counts")
-    return 0
-
-
-def _cmd_bench_pmem(args: argparse.Namespace) -> int:
-    """Heterogeneous-storage sweep: durable-ack commit latency with the
-    WAL on PMem vs NVMe across group-commit windows, plus the stripe
-    width throughput sweep.  Self-checks determinism (two runs
-    byte-identical), WAL-on-PMem strictly below NVMe at every window,
-    and monotone >=2x stripe speedup at the widest point."""
-    from repro.bench import baseline
-
-    first = baseline.run_pmem_sweep()
-    second = baseline.run_pmem_sweep()
-    print("pmem sweep (durable-ack commit latency, pinned seed)")
-    print(f"  {'window us':>9} {'wal on':>6} {'ops':>5} {'mean us':>8} "
-          f"{'p99 us':>8} {'appends':>8} {'WA':>7}")
-    for wl in first["commit"]:
-        print(f"  {wl['window_us']:>9.1f} {wl['wal_on']:>6} "
-              f"{wl['ops']:>5} {wl['latency_us']['mean']:>8.3f} "
-              f"{wl['latency_us']['p99']:>8.3f} "
-              f"{wl['wal']['byte_appends']:>8} "
-              f"{wl['write_amplification']:>7.4f}")
-    print("stripe sweep (scatter reads + write-back over K members)")
-    print(f"  {'devices':>7} {'ops':>6} {'op/s':>12} {'p99 us':>9} "
-          f"{'coalesce':>9}")
-    for wl in first["stripe"]:
-        print(f"  {wl['n_devices']:>7} {wl['ops']:>6} "
-              f"{wl['throughput_ops_s']:>12.1f} "
-              f"{wl['latency_us']['p99']:>9.1f} "
-              f"{wl['io']['coalesce_ratio']:>9.4f}")
-    failures = baseline.pmem_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("pmem sweep OK: deterministic, WAL-on-PMem strictly faster at "
-          "every window, stripe speedup monotone and >=2x at 4 devices")
-    return 0
-
-
-def _cmd_bench_index(args: argparse.Namespace) -> int:
-    """Adaptive-indexing sweep: the relation-index crossover (learned
-    tier vs ART vs B-Tree on uniform read-mostly and Zipf write-heavy
-    mixes) plus the interval-numbered recursive-scan comparison.
-    Self-checks determinism (two runs byte-identical), the crossover in
-    both directions, and >=3x interval-scan speedup with identical
-    listings."""
-    from repro.bench import baseline
-
-    first = baseline.run_index_sweep()
-    second = baseline.run_index_sweep()
-    print("index crossover sweep (bare relation index, pinned seed)")
-    print(f"  {'engine':>7} {'theta':>5} {'writes':>6} {'ops':>5} "
-          f"{'op/s':>10} {'mean us':>8} {'p99 us':>8} {'retrains':>8}")
-    for wl in first["engines"]:
-        learned = wl.get("learned", {})
-        print(f"  {wl['engine']:>7} {wl['zipf_theta']:>5.2f} "
-              f"{wl['write_ratio']:>6.0%} {wl['ops']:>5} "
-              f"{wl['throughput_ops_s']:>10.1f} "
-              f"{wl['latency_us']['mean']:>8.3f} "
-              f"{wl['latency_us']['p99']:>8.3f} "
-              f"{learned.get('retrains', 0):>8}")
-    print("recursive-scan comparison (per-level walk vs interval scan)")
-    print(f"  {'workload':>9} {'entries':>7} {'plain us':>9} "
-          f"{'accel us':>9} {'speedup':>8} {'match':>5}")
-    for wl in first["ns_scan"]:
-        print(f"  {wl['workload']:>9} {wl['entries']:>7} "
-              f"{wl['plain_us']:>9.1f} {wl['accelerated_us']:>9.1f} "
-              f"{wl['speedup']:>8.2f} {str(wl['listings_match']):>5}")
-    failures = baseline.index_self_check(first, second)
-    if args.out:
-        baseline.write_baseline(args.out, first)
-        print(f"wrote {args.out}")
-    if failures:
-        for line in failures:
-            print("FAILED: " + line, file=sys.stderr)
-        return 1
-    print("index sweep OK: deterministic, learned/ART crossover in both "
-          "directions, interval scans >=3x with identical listings")
+    checks = sweep.checks + sweep.extra_checks
+    print(f"{sweep.name} sweep OK: deterministic, "
+          + ", ".join(name for name, _ in checks))
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import baseline
 
-    if args.mode == "iodepth":
-        return _cmd_bench_iodepth(args)
-    if args.mode == "shards":
-        return _cmd_bench_shards(args)
-    if args.mode == "replication":
-        return _cmd_bench_replication(args)
-    if args.mode == "traffic":
-        return _cmd_bench_traffic(args)
-    if args.mode == "pmem":
-        return _cmd_bench_pmem(args)
-    if args.mode == "index":
-        return _cmd_bench_index(args)
+    if args.mode != "suite":
+        return _cmd_bench_sweep(args)
     doc = baseline.run_suite(args.label)
     # Provenance stamp attached *outside* the deterministic suite; the
     # regression gate ignores unknown top-level keys.
@@ -623,6 +403,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.bench import baseline
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Single-flush BLOB storage engine (paper reproduction)")
@@ -672,31 +454,28 @@ def main(argv: list[str] | None = None) -> int:
     bench = sub.add_parser(
         "bench", help="deterministic benchmark baseline + regression gate")
     bench.add_argument("mode", nargs="?",
-                       choices=("suite", "iodepth", "shards",
-                                "replication", "traffic", "pmem",
-                                "index"),
+                       choices=("suite", *baseline.SWEEPS),
                        default="suite",
-                       help="'suite' (default), 'iodepth' for the "
-                            "queue-depth sweep, 'shards' for the "
-                            "sharded scatter-gather sweep, "
-                            "'replication' for the quorum sweep plus "
-                            "the availability storm, 'traffic' for "
-                            "the open-loop saturation/admission sweep, "
-                            "'pmem' for the heterogeneous-storage "
-                            "WAL-placement and stripe-width sweep, "
-                            "or 'index' for the adaptive-indexing "
-                            "crossover and interval-scan sweep "
-                            "— every sweep runs built-in self-checks")
+                       help="'suite' (default) runs every workload and "
+                            "writes BENCH_<label>.json; a sweep name "
+                            "runs that gated sweep twice and its named "
+                            "checks")
     bench.add_argument("--traces", metavar="DIR",
                        help="with mode 'shards': also write per-shard "
                             "Chrome traces of a 4-shard run to DIR")
-    bench.add_argument("--label", default="local")
+    bench.add_argument("--label", default="local",
+                       help="with mode 'suite': the document's label")
     bench.add_argument("--out", default=None,
-                       help="output path (default BENCH_<label>.json)")
+                       help="output path (suite default "
+                            "BENCH_<label>.json)")
     bench.add_argument("--compare", metavar="BASELINE",
-                       help="gate against this BENCH_*.json; exit 1 on "
-                            ">tolerance regression")
-    bench.add_argument("--tolerance", type=float, default=0.10)
+                       help="with mode 'suite': gate against this "
+                            "BENCH_*.json; exit 1 on >tolerance "
+                            "regression")
+    bench.add_argument("--tolerance", type=float,
+                       default=baseline.DEFAULT_TOLERANCE,
+                       help="with mode 'suite': relative slack of the "
+                            "gate, a finite number >= 0")
     bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
@@ -739,6 +518,19 @@ def main(argv: list[str] | None = None) -> int:
     info.set_defaults(func=_cmd_info)
 
     args = parser.parse_args(argv)
+    if args.command == "bench":
+        try:
+            baseline.check_tolerance(args.tolerance)
+        except ValueError as exc:
+            bench.error(f"--tolerance: {exc}")
+        if args.traces and args.mode != "shards":
+            bench.error("--traces only applies to mode 'shards'")
+        suite_only = [f"--{dest}" for dest in ("compare", "label",
+                                               "tolerance")
+                      if getattr(args, dest) != bench.get_default(dest)]
+        if args.mode != "suite" and suite_only:
+            bench.error(f"{', '.join(suite_only)} only applies to mode "
+                        f"'suite', not '{args.mode}'")
     return args.func(args)
 
 

@@ -1,13 +1,20 @@
-"""Pinned-seed benchmark baseline suite and the perf-regression gate.
+"""Pinned-seed benchmark baseline suite, its gated sweeps, and the gate.
 
 ``run_suite`` executes a small, fully deterministic benchmark suite —
-YCSB at two payload sizes plus the synthetic Wikipedia corpus — on the
-paper's engine and distills each workload into the numbers a perf PR is
-judged by: virtual-time throughput, per-op latency quantiles, write
-amplification by category, WAL flush/checkpoint counts, and buffer-pool
-behaviour.  Because every quantity derives from the virtual clock and
-seeded RNGs, two runs of the same code produce *identical* JSON — a perf
-change shows up as a diff, noise cannot.
+YCSB at two payload sizes plus the synthetic Wikipedia corpus, then
+every point of every registered :class:`Sweep` — and distills each
+workload into the numbers a perf change is judged by: virtual-time
+throughput, per-op latency quantiles, write amplification, and the
+layer counters that explain them.  Because every quantity derives from
+the virtual clock and seeded RNGs, two runs of the same code produce
+*identical* JSON — a perf change shows up as a diff, noise cannot.
+
+``SWEEPS`` is the registry of gated sweeps (queue depth, shards,
+replication, PMem/striping, indexing, traffic).  Each entry names its
+points by suite workload name and carries named checks — the paper
+shape it protects (a winner, a crossover, a knee).  ``repro bench
+<name>`` runs a sweep twice, requires byte-identical rendering, runs the
+checks, and prints the sweep's table; adding a sweep is one entry.
 
 ``compare`` is the gate: given a committed ``BENCH_<label>.json``
 baseline and a fresh run, it fails on any >10 % regression in
@@ -19,6 +26,9 @@ an intentional perf change.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.obs.metrics import Histogram
 from repro.sim.clock import Stopwatch
@@ -49,6 +59,32 @@ def _engine_store():
                       group_commit_window_ns=200_000.0)
 
 
+def _result(ops: int, elapsed_ns: int, latency: Histogram, *,
+            digits: int = 1, written: int = 0,
+            payload_bytes: int | None = None) -> dict:
+    """The gated block every point shares.
+
+    Op count, virtual elapsed time, throughput, latency quantiles in
+    microseconds rounded to ``digits`` decimals, and write amplification
+    (``written`` device bytes per payload byte; pinned 0 when the point
+    has no payload, e.g. a bare index).
+    """
+    lat = latency.summary()
+    block = {
+        "ops": ops,
+        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
+        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
+        if elapsed_ns else 0.0,
+        "latency_us": {q: round(lat[q] / 1000, digits)
+                       for q in ("mean", "p50", "p95", "p99", "max")},
+        "write_amplification": round(written / payload_bytes, 4)
+        if payload_bytes else 0.0,
+    }
+    if payload_bytes is not None:
+        block["payload_bytes"] = payload_bytes
+    return block
+
+
 def _workload_result(store, ops: int, elapsed_ns: int, latency: Histogram,
                      payload_bytes: int) -> dict:
     """Distill one finished workload run into the gated JSON shape."""
@@ -58,23 +94,9 @@ def _workload_result(store, ops: int, elapsed_ns: int, latency: Histogram,
     db.drain_commit_window()
     device = db.device
     report = db.stats_report()
-    written = device.stats.bytes_written
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 1),
-            "p50": round(lat["p50"] / 1000, 1),
-            "p95": round(lat["p95"] / 1000, 1),
-            "p99": round(lat["p99"] / 1000, 1),
-            "max": round(lat["max"] / 1000, 1),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
+    return _result(ops, elapsed_ns, latency,
+                   written=device.stats.bytes_written,
+                   payload_bytes=payload_bytes) | {
         "bytes_written_by_category": {
             k: v for k, v in sorted(
                 device.stats.bytes_written_by_category.items()) if v},
@@ -150,19 +172,92 @@ def _run_wikipedia(n_articles: int, n_ops: int, seed: int) -> dict:
                             payload_bytes)
 
 
+# -- the sweep registry ---------------------------------------------------
+
+#: A named check: ``fn(points)`` returns a failure message, or ``None``
+#: when the shape it protects holds.
+Check = tuple[str, Callable[[dict], "str | None"]]
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One gated sweep, declared once.
+
+    ``points()`` runs the sweep and returns ``{suite workload name:
+    point}``; ``run_suite`` folds those points into the gated suite.
+    ``checks`` receive the points; ``columns`` are ``(header, dotted key
+    path, format spec)`` of the table ``repro bench <name>`` prints.
+    ``extra`` is ``(key, fn)`` for output that rides in the sweep's own
+    document but not in the suite (only the replication storm);
+    ``extra_checks`` receive that output.
+    """
+
+    name: str
+    title: str
+    points: Callable[[], dict[str, dict]]
+    checks: tuple[Check, ...]
+    columns: tuple[tuple[str, str, str], ...]
+    extra: tuple[str, Callable[[], dict]] | None = None
+    extra_checks: tuple[Check, ...] = ()
+
+
+def _pick(points: dict[str, dict], prefix: str,
+          key: str | None = None) -> list[dict]:
+    """The points whose suite name starts with ``prefix``, by ``key``."""
+    picked = [p for name, p in points.items() if name.startswith(prefix)]
+    return sorted(picked, key=lambda p: p[key]) if key else picked
+
+
+def _joined(messages) -> str | None:
+    return "; ".join(messages) or None
+
+
+def _each(points: dict[str, dict], prefix: str, failed,
+          message: str) -> str | None:
+    """``message``, formatted with each point of ``prefix`` that
+    ``failed``, joined; ``None`` if no point failed."""
+    return _joined(message.format(**p) for p in _pick(points, prefix)
+                   if failed(p))
+
+
+def _not_monotone(ordered: list[dict], key: str) -> str | None:
+    """Failure if throughput falls anywhere along ``ordered``."""
+    return _joined(
+        f"throughput not monotone in {key}: {a[key]}: "
+        f"{a['throughput_ops_s']} -> {b[key]}: {b['throughput_ops_s']}"
+        for a, b in zip(ordered, ordered[1:])
+        if b["throughput_ops_s"] < a["throughput_ops_s"])
+
+
+def _short_speedup(ordered: list[dict], key: str,
+                   factor: float) -> str | None:
+    """Failure if the last point is not ``factor`` x the first."""
+    tp = [p["throughput_ops_s"] for p in ordered]
+    if tp and tp[-1] < factor * tp[0]:
+        return (f"insufficient speedup at {key} {ordered[-1][key]}: "
+                f"{tp[-1] / tp[0]:.2f}x < {factor}x")
+    return None
+
+
+# -- iodepth: queue-depth sweep ---------------------------------------------
+
 #: Queue depths of the iodepth sweep (powers of four up to past the
 #: simulated device's submission-queue limit).
 IODEPTH_SWEEP = (1, 4, 16, 64)
 
 
-def _run_iodepth(queue_depth: int) -> dict:
-    """One point of the queue-depth sweep.
+def _run_extents(device: dict, *, queue_depth: int, n_extents: int,
+                 ext_pages: int, n_reads: int, n_writes: int,
+                 seed: int) -> dict:
+    """One point of a scheduler-driven extent sweep (iodepth, stripe).
 
-    Scattered 4-page extent reads (plus periodic write batches) are
-    pushed through an :class:`~repro.io.IoScheduler` pinned to
-    ``queue_depth``; everything else — request sequence, extent
-    placement, payload bytes — is identical across depths, so the sweep
-    isolates how submission-queue depth shapes latency overlap.
+    Each of 24 rounds pushes ``n_reads`` scattered extent reads (plus,
+    every third round, ``n_writes`` extent writes) through an
+    :class:`~repro.io.IoScheduler` pinned to ``queue_depth`` over the
+    device ``make_device(**device)`` builds.  A sweep varies one knob
+    (depth or stripe width) and keeps the request sequence, extent
+    placement and payload bytes identical across its points, so it
+    isolates how that knob shapes latency overlap.
     """
     import random
 
@@ -171,25 +266,24 @@ def _run_iodepth(queue_depth: int) -> dict:
     from repro.storage.factory import make_device
 
     model = CostModel()
-    device = make_device(model, capacity_pages=4096)
-    sched = IoScheduler(device, model, queue_depth=queue_depth,
+    dev = make_device(model, **device)
+    sched = IoScheduler(dev, model, queue_depth=queue_depth,
                         max_merge_pages=64)
-    ps = device.page_size
-    n_extents, ext_pages = 256, 4
-    rng = random.Random(11)
+    ps = dev.page_size
+    rng = random.Random(seed)
     # Preload every extent off the timed path.
     for idx in range(n_extents):
-        device.write(idx * ext_pages, rng.randbytes(ext_pages * ps),
-                     background=True)
-    written_before = device.stats.bytes_written
+        dev.write(idx * ext_pages, rng.randbytes(ext_pages * ps),
+                  background=True)
+    written_before = dev.stats.bytes_written
     clock = model.clock
     latency = Histogram("batch_ns")
     start_ns = clock.now_ns
     ops = 0
     payload_bytes = 0
     for round_no in range(24):
-        read_idx = rng.sample(range(n_extents), 44)
-        write_idx = rng.sample(range(n_extents), 16) \
+        read_idx = rng.sample(range(n_extents), n_reads)
+        write_idx = rng.sample(range(n_extents), n_writes) \
             if round_no % 3 == 2 else []
         write_data = [rng.randbytes(ext_pages * ps) for _ in write_idx]
         with Stopwatch(clock) as sw:
@@ -204,24 +298,9 @@ def _run_iodepth(queue_depth: int) -> dict:
         ops += len(read_idx) + len(write_idx)
         payload_bytes += sum(len(d) for d in write_data)
     elapsed_ns = clock.now_ns - start_ns
-    written = device.stats.bytes_written - written_before
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 1),
-            "p50": round(lat["p50"] / 1000, 1),
-            "p95": round(lat["p95"] / 1000, 1),
-            "p99": round(lat["p99"] / 1000, 1),
-            "max": round(lat["max"] / 1000, 1),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
-        "queue_depth": queue_depth,
+    return _result(ops, elapsed_ns, latency,
+                   written=dev.stats.bytes_written - written_before,
+                   payload_bytes=payload_bytes) | {
         "io": {
             "requests_in": sched.stats.requests_in,
             "requests_out": sched.stats.requests_out,
@@ -231,13 +310,25 @@ def _run_iodepth(queue_depth: int) -> dict:
     }
 
 
-def run_iodepth_sweep(depths: tuple[int, ...] = IODEPTH_SWEEP) -> dict:
-    """The full queue-depth sweep as one JSON-ready document."""
+def _iodepth_points() -> dict[str, dict]:
     return {
-        "suite_version": SUITE_VERSION,
-        "sweep": [_run_iodepth(qd) for qd in depths],
-    }
+        f"iodepth_qd{qd}": _run_extents(
+            {"capacity_pages": 4096}, queue_depth=qd, n_extents=256,
+            ext_pages=4, n_reads=44, n_writes=16, seed=11)
+        | {"queue_depth": qd}
+        for qd in IODEPTH_SWEEP}
 
+
+def _iodepth_diminishing(points: dict) -> str | None:
+    tp = [p["throughput_ops_s"]
+          for p in _pick(points, "iodepth_", "queue_depth")]
+    if len(tp) >= 3 and (tp[-1] - tp[-2]) > (tp[-2] - tp[-3]):
+        return ("no diminishing returns at the deepest queue: gain "
+                f"{tp[-2] - tp[-3]:.1f} then {tp[-1] - tp[-2]:.1f}")
+    return None
+
+
+# -- shards: sharded scatter-gather sweep -----------------------------------
 
 #: Shard counts of the sharded-engine sweep.
 SHARD_SWEEP = (1, 2, 4, 8)
@@ -245,6 +336,9 @@ SHARD_SWEEP = (1, 2, 4, 8)
 #: Zipf skew of the adversarial sweep point (paper-standard hot-key
 #: skew; ~half of the samples land on a handful of keys).
 SHARD_SKEW_THETA = 0.99
+
+#: Required uniform-key speedup of the widest shard count over one.
+SHARD_MIN_SPEEDUP = 3.0
 
 
 def _run_shards(n_shards: int, zipf_theta: float, *, n_records: int = 96,
@@ -307,22 +401,8 @@ def _run_shards(n_shards: int, zipf_theta: float, *, n_records: int = 96,
     elapsed_ns = clock.now_ns - start_ns
     written = sum(shard.device.stats.bytes_written for shard in sdb.shards)
     report = sdb.stats_report()
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 1),
-            "p50": round(lat["p50"] / 1000, 1),
-            "p95": round(lat["p95"] / 1000, 1),
-            "p99": round(lat["p99"] / 1000, 1),
-            "max": round(lat["max"] / 1000, 1),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
+    return _result(ops, elapsed_ns, latency, written=written,
+                   payload_bytes=payload_bytes) | {
         "n_shards": n_shards,
         "zipf_theta": zipf_theta,
         "shard": {
@@ -334,50 +414,259 @@ def _run_shards(n_shards: int, zipf_theta: float, *, n_records: int = 96,
     }
 
 
-def run_shard_sweep(shards: tuple[int, ...] = SHARD_SWEEP) -> dict:
-    """Shard-count sweep (uniform keys) plus one Zipf-skewed point."""
-    points = [_run_shards(n, 0.0) for n in shards]
-    points.append(_run_shards(shards[-1], SHARD_SKEW_THETA))
-    return {
-        "suite_version": SUITE_VERSION,
-        "sweep": points,
+def _shard_points() -> dict[str, dict]:
+    points = {f"shards_s{n}": _run_shards(n, 0.0) for n in SHARD_SWEEP}
+    widest = SHARD_SWEEP[-1]
+    points[f"shards_s{widest}_zipf{int(SHARD_SKEW_THETA * 100)}"] = \
+        _run_shards(widest, SHARD_SKEW_THETA)
+    return points
+
+
+def _shards_uniform(points: dict) -> list[dict]:
+    return [p for p in _pick(points, "shards_", "n_shards")
+            if p["zipf_theta"] == 0.0]
+
+
+def _shards_skew_degrades(points: dict) -> str | None:
+    """Zipf skew must cost >=20 % of the uniform peer's throughput — if
+    it doesn't, the makespan model is broken."""
+    return _joined(
+        f"Zipf {p['zipf_theta']} skew shows no degradation at "
+        f"{p['n_shards']} shards: {p['throughput_ops_s']} vs uniform "
+        f"{points[name.split('_zipf')[0]]['throughput_ops_s']}"
+        for name, p in points.items()
+        if name.startswith("shards_") and "_zipf" in name
+        and p["throughput_ops_s"]
+        >= 0.8 * points[name.split("_zipf")[0]]["throughput_ops_s"])
+
+
+# -- replication: quorum sweep plus the availability storm -------------------
+
+#: Quorum sizes of the replication sweep (3-member groups).
+REPLICATION_QUORUMS = (1, 2, 3)
+
+#: Seeded fault schedules of the availability storm.
+REPLICATION_STORM_SCHEDULES = 100
+
+#: Simulated upper bound on one failover's group-clock duration; a
+#: promotion that takes longer than this (20 ms) means retry backoff or
+#: catch-up work has run away and availability is fiction.
+REPLICATION_FAILOVER_BOUND_US = 20_000.0
+
+
+def _run_replication(quorum: int, *, n_ops: int = 48,
+                     payload: int = 2048, seed: int = 5) -> dict:
+    """One point of the quorum commit-latency sweep.
+
+    A 3-member replica group on deliberately *heterogeneous* links —
+    shared memory (primary-local, unused), RDMA, TCP — commits a fixed
+    put/read mix.  The only thing that varies across points is the
+    quorum size, so the sweep isolates what a quorum buys: ``q=1`` never
+    waits for a link, ``q=2`` waits for the fastest (RDMA) ack and
+    hides the slow TCP replica, ``q=3`` pays the slowest link on every
+    commit.  Commit latency must be *strictly* increasing in the quorum
+    size (a check of the ``replication`` sweep).
+    """
+    import random
+
+    from repro.db.config import EngineConfig
+    from repro.net.transport import RDMA, SHARED_MEMORY, TCP_ETHERNET
+    from repro.replica import ReplicaGroup
+
+    config = EngineConfig(device_pages=16384, wal_pages=512,
+                          catalog_pages=128, buffer_pool_pages=4096)
+    group = ReplicaGroup(n_replicas=2, quorum=quorum, config=config,
+                         transport=[SHARED_MEMORY, RDMA, TCP_ETHERNET],
+                         name=f"bench_q{quorum}")
+    rng = random.Random(seed)
+    keys = [b"rep%05d" % i for i in range(16)]
+    payload_bytes = 0
+    # Load phase (untimed): populate every key once.
+    for key in keys:
+        group.put(key, rng.randbytes(payload))
+        payload_bytes += payload
+    clock = group.model.clock
+    latency = Histogram("commit_ns")
+    start_ns = clock.now_ns
+    ops = 0
+    for i in range(n_ops):
+        key = keys[i % len(keys)]
+        with Stopwatch(clock) as sw:
+            if i % 3 == 2:
+                got = group.read_any(key)
+                assert len(got) == payload
+            else:
+                group.put(key, rng.randbytes(payload))
+                payload_bytes += payload
+        latency.observe(sw.elapsed_ns)
+        ops += 1
+    group.drain()
+    elapsed_ns = clock.now_ns - start_ns
+    written = sum(m.db.device.stats.bytes_written for m in group.members)
+    report = group.stats_report()
+    return _result(ops, elapsed_ns, latency, digits=2, written=written,
+                   payload_bytes=payload_bytes) | {
+        "quorum": quorum,
+        "replication": {
+            "acked_writes": report.replica_acked_writes,
+            "records_shipped": report.replica_records_shipped,
+            "ship_retries": report.replica_ship_retries,
+            "max_lag_records": report.replica_max_lag_records,
+            "stale_reads": report.replica_stale_reads,
+        },
     }
 
 
-def shard_sweep_self_check(first: dict, second: dict) -> list[str]:
-    """The sweep's acceptance checks; non-empty return = failure.
+def _quorum_latency_increasing(points: dict) -> str | None:
+    means = [p["latency_us"]["mean"]
+             for p in _pick(points, "replication_", "quorum")]
+    if any(b <= a for a, b in zip(means, means[1:])):
+        return (f"commit latency not strictly increasing with quorum: "
+                f"{means} us")
+    return None
 
-    Enforced by ``repro bench shards`` (and therefore by the CI
-    perf-gate job): the sweep must be deterministic, uniform-key
-    throughput must rise monotonically with the shard count and reach
-    >=3x at the widest point, and Zipf skew must measurably degrade the
-    widest point — if it doesn't, the makespan model is broken.
+
+def _storm_schedule(seed: int) -> tuple[str, dict]:
+    """One seeded kill-and-recover schedule of the availability storm.
+
+    Writes (and deletes) through a faulty-linked 3-member quorum-2
+    group, kills the primary mid-batch at a drawn point, audits the
+    failed-over group for the zero-loss contract, rejoins the deposed
+    primary, and converges.  Returns a canonical counter line (digest
+    input) plus the violation counts the storm checks gate on.
     """
-    failures: list[str] = []
-    if render(first) != render(second):
-        failures.append("shard sweep not deterministic: two runs differ")
-    uniform = [p for p in first["sweep"] if p["zipf_theta"] == 0.0]
-    tp = [p["throughput_ops_s"] for p in uniform]
-    for a, b in zip(tp, tp[1:]):
-        if b < a:
-            failures.append(
-                f"throughput not monotone in shard count: {a} -> {b}")
-    if tp and tp[-1] < 3.0 * tp[0]:
-        failures.append(
-            f"insufficient speedup at {uniform[-1]['n_shards']} shards: "
-            f"{tp[-1] / tp[0]:.2f}x < 3x")
-    skewed = [p for p in first["sweep"] if p["zipf_theta"] > 0.0]
-    for point in skewed:
-        peer = [p for p in uniform if p["n_shards"] == point["n_shards"]]
-        if peer and point["throughput_ops_s"] >= 0.8 * \
-                peer[0]["throughput_ops_s"]:
-            failures.append(
-                f"Zipf {point['zipf_theta']} skew shows no degradation at "
-                f"{point['n_shards']} shards: "
-                f"{point['throughput_ops_s']} vs uniform "
-                f"{peer[0]['throughput_ops_s']}")
-    return failures
+    import random
 
+    from repro.db.config import EngineConfig
+    from repro.db.errors import DatabaseError
+    from repro.replica import ReplicaGroup
+    from repro.storage.faults import FaultPlanFactory, FaultSpec
+
+    config = EngineConfig(device_pages=16384, wal_pages=512,
+                          catalog_pages=128, buffer_pool_pages=4096)
+    links = FaultPlanFactory(FaultSpec(
+        seed=seed, network_error=0.04,
+        latency_spike=0.02, latency_spike_ns=400_000.0,
+        partition=0.01, partition_max_ns=2_000_000.0))
+    group = ReplicaGroup(n_replicas=2, quorum=2, config=config,
+                         link_faults=links, name=f"storm{seed}")
+    rng = random.Random(seed)
+    acked: dict[bytes, bytes] = {}
+    deleted: list[bytes] = []
+    for i in range(20):
+        key = b"st%04d" % i
+        data = rng.randbytes(rng.randrange(64, 320))
+        group.put(key, data)
+        acked[key] = data
+    for key in sorted(acked)[:3]:
+        group.delete(key)
+        del acked[key]
+        deleted.append(key)
+    old_primary = group.primary_id
+    mid_key, mid_data = b"st-mid", rng.randbytes(128)
+    n_ships = rng.randrange(0, 3)
+    group.crash_primary(mid_record=(mid_key, mid_data, n_ships))
+    # Audit 1, on the freshly promoted primary: every acknowledged
+    # write readable byte-exact, every acknowledged delete gone, and
+    # the unacknowledged mid-crash record all-or-nothing.
+    lost = 0
+    torn = 0
+    for key, data in sorted(acked.items()):
+        try:
+            if group.get(key) != data:
+                lost += 1
+        except DatabaseError:
+            lost += 1
+    for key in deleted:
+        if group.exists(key):
+            lost += 1
+    mid_kept = group.exists(mid_key)
+    if mid_kept and group.get(mid_key) != mid_data:
+        torn += 1
+    group.rejoin(old_primary)
+    # Converge: repeated catch-up rounds let member clocks walk past
+    # any open partition window (each retry's backoff advances them).
+    for _ in range(20):
+        group.catch_up()
+        if group.max_lag() == 0:
+            break
+    residual_lag = group.max_lag()
+    # Audit 2, after the deposed primary rejoined and was truncated.
+    for key, data in sorted(acked.items()):
+        try:
+            if group.get(key) != data:
+                lost += 1
+        except DatabaseError:
+            lost += 1
+    stats = group.stats
+    line = (f"s{seed} epoch={group.epoch} primary={group.primary_id} "
+            f"acked={stats.acked_writes} shipped={stats.records_shipped} "
+            f"retries={group.ship_retries()} fenced={stats.fenced_ships} "
+            f"trunc={stats.truncated_records} "
+            f"mid={'kept' if mid_kept else 'dropped'} "
+            f"lag={residual_lag} "
+            f"failover_ns={int(stats.last_failover_ns)}")
+    return line, {
+        "lost_acked_writes": lost,
+        "torn_records": torn,
+        "mid_records_survived": 1 if mid_kept else 0,
+        "failovers": stats.failovers,
+        "rejoins": stats.rejoins,
+        "acked_writes": stats.acked_writes,
+        "records_shipped": stats.records_shipped,
+        "ship_retries": group.ship_retries(),
+        "fenced_ships": stats.fenced_ships,
+        "truncated_records": stats.truncated_records,
+        "failover_ns": stats.last_failover_ns,
+    }
+
+
+def run_replication_storm(
+        n_schedules: int = REPLICATION_STORM_SCHEDULES,
+        base_seed: int = 9000) -> dict:
+    """Availability under storm: ``n_schedules`` seeded kill schedules.
+
+    The whole storm reduces to one SHA-256 digest over the canonical
+    per-schedule counter lines — same code + same seed must reproduce it
+    bit-for-bit, which is what makes a hundred crash/failover/rejoin
+    schedules a CI artifact instead of a flaky soak test.
+    """
+    import hashlib
+
+    lines: list[str] = []
+    totals: dict[str, int] = {}
+    max_failover_ns = 0.0
+    for i in range(n_schedules):
+        line, counters = _storm_schedule(base_seed + i)
+        lines.append(line)
+        max_failover_ns = max(max_failover_ns, counters.pop("failover_ns"))
+        for key, value in counters.items():
+            totals[key] = totals.get(key, 0) + value
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    return {"schedules": n_schedules, "base_seed": base_seed,
+            "digest": digest, **totals,
+            "max_failover_us": round(max_failover_ns / 1000, 1)}
+
+
+#: Checks of the availability storm; each receives the storm document.
+STORM_CHECKS: tuple[Check, ...] = (
+    ("no_lost_acked_writes", lambda s: (
+        f"{s['lost_acked_writes']} acknowledged writes lost across "
+        f"{s['schedules']} schedules") if s["lost_acked_writes"] else None),
+    ("no_torn_records", lambda s: (
+        f"{s['torn_records']} torn mid-crash records")
+        if s["torn_records"] else None),
+    ("failover_every_schedule", lambda s: (
+        f"only {s['failovers']} failovers in {s['schedules']} kill "
+        f"schedules") if s["failovers"] < s["schedules"] else None),
+    ("failover_bounded", lambda s: (
+        f"failover makespan unbounded: {s['max_failover_us']} us > "
+        f"{REPLICATION_FAILOVER_BOUND_US} us")
+        if s["max_failover_us"] > REPLICATION_FAILOVER_BOUND_US else None),
+)
+
+
+# -- pmem: WAL placement and stripe width ----------------------------------
 
 #: Group-commit windows (virtual ns) of the WAL-placement sweep: a
 #: durable ack per commit, then windows covering ~25 and ~100 commits —
@@ -456,25 +745,10 @@ def _run_pmem_commit(window_ns: float, on_pmem: bool) -> dict:
     written = sum(
         sum(dev.stats.bytes_written_by_category.values())
         for dev in db.storage.devices)
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            # Three decimals: wide windows amortize the sync down to
-            # tens of ns per op, and the strictly-below gate compares
-            # these rounded values.
-            "mean": round(lat["mean"] / 1000, 3),
-            "p50": round(lat["p50"] / 1000, 3),
-            "p95": round(lat["p95"] / 1000, 3),
-            "p99": round(lat["p99"] / 1000, 3),
-            "max": round(lat["max"] / 1000, 3),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
+    # Three decimals: wide windows amortize the sync down to tens of ns
+    # per op, and the strictly-below check compares these rounded values.
+    return _result(ops, elapsed_ns, latency, digits=3, written=written,
+                   payload_bytes=payload_bytes) | {
         "window_us": round(window_ns / 1000, 1),
         "wal_on": report.wal_device_kind,
         "wal": {
@@ -486,569 +760,39 @@ def _run_pmem_commit(window_ns: float, on_pmem: bool) -> dict:
     }
 
 
-def _run_pmem_stripe(n_devices: int) -> dict:
-    """One point of the striped multiget/flush throughput sweep.
-
-    The same scattered 8-page extent reads (plus periodic write-back
-    batches) from the iodepth sweep, pushed through an
-    :class:`~repro.io.IoScheduler` over a :class:`StripedDevice` of
-    ``n_devices`` members.  The request stream is identical across
-    widths; only the number of independent SQ/CQ queues absorbing it
-    changes, so the sweep isolates the makespan win of striping.
-    """
-    import random
-
-    from repro.io import IoScheduler
-    from repro.sim.cost import CostModel
-    from repro.storage.factory import make_device
-
-    model = CostModel()
-    ext_pages = 8
-    device = make_device(model, capacity_pages=8192, kind="striped",
-                         n_devices=n_devices, stripe_pages=ext_pages)
-    sched = IoScheduler(device, model, queue_depth=32, max_merge_pages=64)
-    ps = device.page_size
-    n_extents = 128
-    rng = random.Random(13)
-    for idx in range(n_extents):  # untimed preload
-        device.write(idx * ext_pages, rng.randbytes(ext_pages * ps),
-                     background=True)
-    written_before = device.stats.bytes_written
-    clock = model.clock
-    latency = Histogram("batch_ns")
-    start_ns = clock.now_ns
-    ops = 0
-    payload_bytes = 0
-    for round_no in range(24):
-        read_idx = rng.sample(range(n_extents), 96)
-        write_idx = rng.sample(range(n_extents), 32) \
-            if round_no % 3 == 2 else []
-        write_data = [rng.randbytes(ext_pages * ps) for _ in write_idx]
-        with Stopwatch(clock) as sw:
-            for idx in read_idx:
-                sched.submit_read(idx * ext_pages, ext_pages)
-            sched.drain()
-            for idx, data in zip(write_idx, write_data):
-                sched.submit_write(idx * ext_pages, data)
-            if write_idx:
-                sched.drain()
-        latency.observe(sw.elapsed_ns)
-        ops += len(read_idx) + len(write_idx)
-        payload_bytes += sum(len(d) for d in write_data)
-    elapsed_ns = clock.now_ns - start_ns
-    written = device.stats.bytes_written - written_before
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 1),
-            "p50": round(lat["p50"] / 1000, 1),
-            "p95": round(lat["p95"] / 1000, 1),
-            "p99": round(lat["p99"] / 1000, 1),
-            "max": round(lat["max"] / 1000, 1),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
-        "n_devices": n_devices,
-        "io": {
-            "requests_in": sched.stats.requests_in,
-            "requests_out": sched.stats.requests_out,
-            "coalesce_ratio": round(sched.stats.coalesce_ratio, 4),
-            "drains": sched.stats.drains,
-        },
-    }
-
-
-def run_pmem_sweep() -> dict:
-    """WAL-placement and stripe-width sweeps as one JSON document."""
-    commit = []
+def _pmem_points() -> dict[str, dict]:
+    points = {}
     for window_ns in PMEM_COMMIT_WINDOWS_NS:
         for on_pmem in (False, True):
-            commit.append(_run_pmem_commit(window_ns, on_pmem))
-    return {
-        "suite_version": SUITE_VERSION,
-        "commit": commit,
-        "stripe": [_run_pmem_stripe(k) for k in PMEM_STRIPE_SWEEP],
-    }
+            point = _run_pmem_commit(window_ns, on_pmem)
+            points[f"pmem_wal_{point['wal_on']}_"
+                   f"w{int(point['window_us'])}us"] = point
+    # The stripe sweep: the same scattered-extent stream over a
+    # StripedDevice of k members; only the number of independent SQ/CQ
+    # queues absorbing it changes.
+    for k in PMEM_STRIPE_SWEEP:
+        points[f"stripe_k{k}"] = _run_extents(
+            {"capacity_pages": 8192, "kind": "striped", "n_devices": k,
+             "stripe_pages": 8}, queue_depth=32, n_extents=128,
+            ext_pages=8, n_reads=96, n_writes=32, seed=13) \
+            | {"n_devices": k}
+    return points
 
 
-def pmem_self_check(first: dict, second: dict) -> list[str]:
-    """The heterogeneous-storage sweep's acceptance checks.
-
-    Enforced by ``repro bench pmem`` (and the CI perf-gate job): the
-    sweep must be deterministic, WAL-on-PMem commit latency must be
-    *strictly* below WAL-on-NVMe at every group-commit window, and
-    stripe throughput must rise monotonically with the width and reach
-    >=2x at 4 devices — otherwise the byte-append fast path or the
-    makespan pricing is broken.
-    """
-    failures: list[str] = []
-    if render(first) != render(second):
-        failures.append("pmem sweep not deterministic: two runs differ")
-    by_window: dict[float, dict[str, dict]] = {}
-    for point in first["commit"]:
-        by_window.setdefault(point["window_us"], {})[point["wal_on"]] = \
-            point
-    for window_us in sorted(by_window):
-        pair = by_window[window_us]
-        pmem = pair["pmem"]["latency_us"]["mean"]
-        nvme = pair["nvme"]["latency_us"]["mean"]
-        if not pmem < nvme:
-            failures.append(
-                f"WAL-on-PMem not below NVMe at window {window_us} us: "
-                f"{pmem} vs {nvme} us mean commit")
-    tp = [p["throughput_ops_s"] for p in first["stripe"]]
-    widths = [p["n_devices"] for p in first["stripe"]]
-    for (wa, a), (wb, b) in zip(zip(widths, tp), zip(widths[1:], tp[1:])):
-        if b < a:
-            failures.append(
-                f"stripe throughput not monotone: x{wa} {a} -> x{wb} {b}")
-    if tp and tp[-1] < PMEM_STRIPE_MIN_SPEEDUP * tp[0]:
-        failures.append(
-            f"insufficient stripe speedup at {widths[-1]} devices: "
-            f"{tp[-1] / tp[0]:.2f}x < {PMEM_STRIPE_MIN_SPEEDUP}x")
-    return failures
+def _pmem_wal_below_nvme(points: dict) -> str | None:
+    """Durable-ack commit latency with the WAL on PMem must be strictly
+    below its NVMe peer (same window) at every group-commit window."""
+    pairs = [(p["window_us"], p["latency_us"]["mean"],
+              points[name.replace("_pmem_", "_nvme_")]["latency_us"]["mean"])
+             for name, p in points.items()
+             if name.startswith("pmem_wal_pmem_")]
+    return _joined(
+        f"WAL-on-PMem not below NVMe at window {window_us} us: "
+        f"{pmem} vs {nvme} us mean commit"
+        for window_us, pmem, nvme in sorted(pairs) if not pmem < nvme)
 
 
-#: Quorum sizes of the replication sweep (3-member groups).
-REPLICATION_QUORUMS = (1, 2, 3)
-
-#: Seeded fault schedules of the availability storm.
-REPLICATION_STORM_SCHEDULES = 100
-
-#: Simulated upper bound on one failover's group-clock duration; a
-#: promotion that takes longer than this (20 ms) means retry backoff or
-#: catch-up work has run away and availability is fiction.
-REPLICATION_FAILOVER_BOUND_US = 20_000.0
-
-
-def _run_replication(quorum: int, *, n_ops: int = 48,
-                     payload: int = 2048, seed: int = 5) -> dict:
-    """One point of the quorum commit-latency sweep.
-
-    A 3-member replica group on deliberately *heterogeneous* links —
-    shared memory (primary-local, unused), RDMA, TCP — commits a fixed
-    put/read mix.  The only thing that varies across points is the
-    quorum size, so the sweep isolates what a quorum buys: ``q=1`` never
-    waits for a link, ``q=2`` waits for the fastest (RDMA) ack and
-    hides the slow TCP replica, ``q=3`` pays the slowest link on every
-    commit.  Commit latency must be *strictly* increasing in the quorum
-    size (enforced by :func:`replication_self_check`).
-    """
-    import random
-
-    from repro.db.config import EngineConfig
-    from repro.net.transport import RDMA, SHARED_MEMORY, TCP_ETHERNET
-    from repro.replica import ReplicaGroup
-
-    config = EngineConfig(device_pages=16384, wal_pages=512,
-                          catalog_pages=128, buffer_pool_pages=4096)
-    group = ReplicaGroup(n_replicas=2, quorum=quorum, config=config,
-                         transport=[SHARED_MEMORY, RDMA, TCP_ETHERNET],
-                         name=f"bench_q{quorum}")
-    rng = random.Random(seed)
-    keys = [b"rep%05d" % i for i in range(16)]
-    payload_bytes = 0
-    # Load phase (untimed): populate every key once.
-    for key in keys:
-        group.put(key, rng.randbytes(payload))
-        payload_bytes += payload
-    clock = group.model.clock
-    latency = Histogram("commit_ns")
-    start_ns = clock.now_ns
-    ops = 0
-    for i in range(n_ops):
-        key = keys[i % len(keys)]
-        with Stopwatch(clock) as sw:
-            if i % 3 == 2:
-                got = group.read_any(key)
-                assert len(got) == payload
-            else:
-                group.put(key, rng.randbytes(payload))
-                payload_bytes += payload
-        latency.observe(sw.elapsed_ns)
-        ops += 1
-    group.drain()
-    elapsed_ns = clock.now_ns - start_ns
-    written = sum(m.db.device.stats.bytes_written for m in group.members)
-    report = group.stats_report()
-    lat = latency.summary()
-    return {
-        "ops": ops,
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 2),
-            "p50": round(lat["p50"] / 1000, 2),
-            "p95": round(lat["p95"] / 1000, 2),
-            "p99": round(lat["p99"] / 1000, 2),
-            "max": round(lat["max"] / 1000, 2),
-        },
-        "payload_bytes": payload_bytes,
-        "write_amplification": round(written / payload_bytes, 4)
-        if payload_bytes else 0.0,
-        "quorum": quorum,
-        "replication": {
-            "acked_writes": report.replica_acked_writes,
-            "records_shipped": report.replica_records_shipped,
-            "ship_retries": report.replica_ship_retries,
-            "max_lag_records": report.replica_max_lag_records,
-            "stale_reads": report.replica_stale_reads,
-        },
-    }
-
-
-def _storm_schedule(seed: int) -> tuple[str, dict]:
-    """One seeded kill-and-recover schedule of the availability storm.
-
-    Writes (and deletes) through a faulty-linked 3-member quorum-2
-    group, kills the primary mid-batch at a drawn point, audits the
-    failed-over group for the zero-loss contract, rejoins the deposed
-    primary, and converges.  Returns a canonical counter line (digest
-    input) plus the violation counts the self-check gates on.
-    """
-    import random
-
-    from repro.db.config import EngineConfig
-    from repro.db.errors import DatabaseError
-    from repro.replica import ReplicaGroup
-    from repro.storage.faults import FaultPlanFactory, FaultSpec
-
-    config = EngineConfig(device_pages=16384, wal_pages=512,
-                          catalog_pages=128, buffer_pool_pages=4096)
-    links = FaultPlanFactory(FaultSpec(
-        seed=seed, network_error=0.04,
-        latency_spike=0.02, latency_spike_ns=400_000.0,
-        partition=0.01, partition_max_ns=2_000_000.0))
-    group = ReplicaGroup(n_replicas=2, quorum=2, config=config,
-                         link_faults=links, name=f"storm{seed}")
-    rng = random.Random(seed)
-    acked: dict[bytes, bytes] = {}
-    deleted: list[bytes] = []
-    for i in range(20):
-        key = b"st%04d" % i
-        data = rng.randbytes(rng.randrange(64, 320))
-        group.put(key, data)
-        acked[key] = data
-    for key in sorted(acked)[:3]:
-        group.delete(key)
-        del acked[key]
-        deleted.append(key)
-    old_primary = group.primary_id
-    mid_key, mid_data = b"st-mid", rng.randbytes(128)
-    n_ships = rng.randrange(0, 3)
-    group.crash_primary(mid_record=(mid_key, mid_data, n_ships))
-    # Audit 1, on the freshly promoted primary: every acknowledged
-    # write readable byte-exact, every acknowledged delete gone, and
-    # the unacknowledged mid-crash record all-or-nothing.
-    lost = 0
-    torn = 0
-    for key, data in sorted(acked.items()):
-        try:
-            if group.get(key) != data:
-                lost += 1
-        except DatabaseError:
-            lost += 1
-    for key in deleted:
-        if group.exists(key):
-            lost += 1
-    mid_kept = group.exists(mid_key)
-    if mid_kept and group.get(mid_key) != mid_data:
-        torn += 1
-    group.rejoin(old_primary)
-    # Converge: repeated catch-up rounds let member clocks walk past
-    # any open partition window (each retry's backoff advances them).
-    for _ in range(20):
-        group.catch_up()
-        if group.max_lag() == 0:
-            break
-    residual_lag = group.max_lag()
-    # Audit 2, after the deposed primary rejoined and was truncated.
-    for key, data in sorted(acked.items()):
-        try:
-            if group.get(key) != data:
-                lost += 1
-        except DatabaseError:
-            lost += 1
-    stats = group.stats
-    line = (f"s{seed} epoch={group.epoch} primary={group.primary_id} "
-            f"acked={stats.acked_writes} shipped={stats.records_shipped} "
-            f"retries={group.ship_retries()} fenced={stats.fenced_ships} "
-            f"trunc={stats.truncated_records} "
-            f"mid={'kept' if mid_kept else 'dropped'} "
-            f"lag={residual_lag} "
-            f"failover_ns={int(stats.last_failover_ns)}")
-    return line, {
-        "lost": lost,
-        "torn": torn,
-        "mid_kept": 1 if mid_kept else 0,
-        "failovers": stats.failovers,
-        "rejoins": stats.rejoins,
-        "acked_writes": stats.acked_writes,
-        "records_shipped": stats.records_shipped,
-        "ship_retries": group.ship_retries(),
-        "fenced_ships": stats.fenced_ships,
-        "truncated_records": stats.truncated_records,
-        "failover_ns": stats.last_failover_ns,
-    }
-
-
-def run_replication_storm(
-        n_schedules: int = REPLICATION_STORM_SCHEDULES,
-        base_seed: int = 9000) -> dict:
-    """Availability under storm: ``n_schedules`` seeded kill schedules.
-
-    The whole storm reduces to one SHA-256 digest over the canonical
-    per-schedule counter lines — same code + same seed must reproduce it
-    bit-for-bit, which is what makes a hundred crash/failover/rejoin
-    schedules a CI artifact instead of a flaky soak test.
-    """
-    import hashlib
-
-    lines: list[str] = []
-    totals = {"lost": 0, "torn": 0, "mid_kept": 0, "failovers": 0,
-              "rejoins": 0, "acked_writes": 0, "records_shipped": 0,
-              "ship_retries": 0, "fenced_ships": 0,
-              "truncated_records": 0}
-    max_failover_ns = 0.0
-    for i in range(n_schedules):
-        line, counters = _storm_schedule(base_seed + i)
-        lines.append(line)
-        for key in totals:
-            totals[key] += counters[key]
-        max_failover_ns = max(max_failover_ns, counters["failover_ns"])
-    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
-    return {
-        "schedules": n_schedules,
-        "base_seed": base_seed,
-        "digest": digest,
-        "lost_acked_writes": totals["lost"],
-        "torn_records": totals["torn"],
-        "mid_records_survived": totals["mid_kept"],
-        "failovers": totals["failovers"],
-        "rejoins": totals["rejoins"],
-        "acked_writes": totals["acked_writes"],
-        "records_shipped": totals["records_shipped"],
-        "ship_retries": totals["ship_retries"],
-        "fenced_ships": totals["fenced_ships"],
-        "truncated_records": totals["truncated_records"],
-        "max_failover_us": round(max_failover_ns / 1000, 1),
-    }
-
-
-def run_replication_sweep() -> dict:
-    """Quorum-latency sweep plus the availability storm, one document."""
-    return {
-        "suite_version": SUITE_VERSION,
-        "sweep": [_run_replication(q) for q in REPLICATION_QUORUMS],
-        "storm": run_replication_storm(),
-    }
-
-
-def replication_self_check(first: dict, second: dict) -> list[str]:
-    """The replication sweep's acceptance checks; non-empty = failure.
-
-    Enforced by ``repro bench replication`` (and the CI perf-gate job):
-    the sweep and storm must be deterministic (two in-process runs,
-    identical rendering — digest included), commit latency must be
-    *strictly* increasing in quorum size, and the storm must show real
-    failovers, zero lost acknowledged writes, no torn records, and
-    bounded failover makespans.
-    """
-    failures: list[str] = []
-    if render(first) != render(second):
-        failures.append("replication sweep not deterministic: runs differ")
-    by_quorum = {p["quorum"]: p for p in first["sweep"]}
-    means = [by_quorum[q]["latency_us"]["mean"]
-             for q in sorted(by_quorum)]
-    for a, b in zip(means, means[1:]):
-        if b <= a:
-            failures.append(
-                f"commit latency not strictly increasing with quorum: "
-                f"{means} us")
-            break
-    storm = first["storm"]
-    if storm["lost_acked_writes"]:
-        failures.append(
-            f"{storm['lost_acked_writes']} acknowledged writes lost "
-            f"across {storm['schedules']} schedules")
-    if storm["torn_records"]:
-        failures.append(f"{storm['torn_records']} torn mid-crash records")
-    if storm["failovers"] < storm["schedules"]:
-        failures.append(
-            f"only {storm['failovers']} failovers in "
-            f"{storm['schedules']} kill schedules")
-    if storm["max_failover_us"] > REPLICATION_FAILOVER_BOUND_US:
-        failures.append(
-            f"failover makespan unbounded: {storm['max_failover_us']} us "
-            f"> {REPLICATION_FAILOVER_BOUND_US} us")
-    return failures
-
-
-#: Offered-load multipliers of the open-loop traffic sweep, as
-#: fractions of the measured closed-loop capacity: one point well below
-#: the knee, one near it, and two past it.
-TRAFFIC_SWEEP = (0.25, 1.0, 2.0, 4.0)
-
-#: Token rate of the admission-protected overload point, as a fraction
-#: of closed-loop capacity (split evenly across the tenants).
-TRAFFIC_ADMIT_FRACTION = 0.4
-
-#: Upper bound on the protected point's p999 latency relative to the
-#: unprotected overload point: shedding must cut the tail at least in
-#: half or admission control is decorative.
-TRAFFIC_P999_PROTECTION = 0.5
-
-#: Tenants and per-tenant op count of every open-loop point.
-_TRAFFIC_TENANTS = 2
-_TRAFFIC_OPS_PER_TENANT = 100
-
-
-def _traffic_sim(admission=None):
-    from repro.sched import TrafficConfig, TrafficSim
-
-    return TrafficSim(TrafficConfig(
-        n_workers=2, n_shards=1, n_keys=32, payload_bytes=4096,
-        read_ratio=0.5, seed=17), admission=admission)
-
-
-def run_traffic_sweep(mults: tuple[float, ...] = TRAFFIC_SWEEP) -> dict:
-    """Open-loop traffic sweep over the discrete-event scheduler.
-
-    First a closed-loop run measures the fleet's service capacity (the
-    calibration point — the same quantity ``WorkerSim`` estimates
-    analytically).  Then each sweep point replays a seeded Poisson
-    arrival schedule at a multiple of that capacity through
-    :class:`~repro.sched.TrafficSim`: below the knee completed
-    throughput tracks offered load; past it throughput saturates and
-    p999 latency explodes — the open-loop behaviour a closed-loop
-    (or analytic) harness is structurally blind to.  A final pair of
-    points replays the worst overload through token-bucket admission
-    (shed and queue policies) to show a bounded tail and exact shed
-    accounting.
-    """
-    from repro.sched import AdmissionController, generate_jobs
-
-    closed = _traffic_sim().run_closed(
-        _TRAFFIC_TENANTS * 48, tenants=_TRAFFIC_TENANTS)
-    capacity = closed.throughput_ops_s
-
-    def jobs_at(mult: float):
-        # Per-tenant rate: aggregate offered load = tenants * rate.
-        return generate_jobs(
-            tenants=_TRAFFIC_TENANTS, per_tenant=_TRAFFIC_OPS_PER_TENANT,
-            rate_ops_s=capacity * mult / _TRAFFIC_TENANTS, seed=17,
-            n_keys=32, payload_bytes=4096, read_ratio=0.5)
-
-    open_points = []
-    for mult in mults:
-        point = _traffic_sim().run(jobs_at(mult)).as_dict()
-        point["offered_mult"] = mult
-        point["admission"] = None
-        open_points.append(point)
-
-    admitted_points = []
-    for policy in ("shed", "queue"):
-        ctl = AdmissionController(
-            policy=policy,
-            rate_tokens_s=capacity * TRAFFIC_ADMIT_FRACTION
-            / _TRAFFIC_TENANTS,
-            burst=4.0)
-        point = _traffic_sim(admission=ctl).run(
-            jobs_at(mults[-1])).as_dict()
-        point["offered_mult"] = mults[-1]
-        point["admission"] = {
-            "policy": policy,
-            "rate_fraction": TRAFFIC_ADMIT_FRACTION,
-            "burst": 4.0,
-        }
-        admitted_points.append(point)
-
-    closed_point = closed.as_dict()
-    closed_point["offered_mult"] = None
-    closed_point["admission"] = None
-    return {
-        "suite_version": SUITE_VERSION,
-        "capacity_ops_s": round(capacity, 1),
-        "closed_loop": closed_point,
-        "sweep": open_points + admitted_points,
-    }
-
-
-def traffic_self_check(first: dict, second: dict) -> list[str]:
-    """The traffic sweep's acceptance checks; non-empty = failure.
-
-    Enforced by ``repro bench traffic`` (and therefore the CI perf-gate
-    job): the sweep must be deterministic (two in-process runs render
-    byte-identically), open-loop throughput must saturate at a knee
-    while p999 grows without admission control, and the admission
-    points must show a bounded tail with *exact* shed accounting.
-    """
-    failures: list[str] = []
-    if render(first) != render(second):
-        failures.append("traffic sweep not deterministic: two runs differ")
-    open_pts = {p["offered_mult"]: p for p in first["sweep"]
-                if p["admission"] is None}
-    mults = sorted(open_pts)
-    capacity = first["capacity_ops_s"]
-    low, high = open_pts[mults[0]], open_pts[mults[-1]]
-    # Below the knee, completed throughput tracks offered load.
-    offered_low = capacity * mults[0]
-    if abs(low["throughput_ops_s"] - offered_low) > 0.3 * offered_low:
-        failures.append(
-            f"below-knee point off its offered load: "
-            f"{low['throughput_ops_s']} vs offered {offered_low:.1f}")
-    # Past the knee, throughput saturates ...
-    knee_pts = [open_pts[m] for m in mults if m >= 2.0]
-    if len(knee_pts) >= 2 and knee_pts[-1]["throughput_ops_s"] > \
-            1.15 * knee_pts[0]["throughput_ops_s"]:
-        failures.append(
-            f"no saturation knee: {knee_pts[0]['throughput_ops_s']} -> "
-            f"{knee_pts[-1]['throughput_ops_s']} op/s past 2x offered")
-    # ... and the unprotected tail explodes.
-    if high["latency_us"]["p999"] < 5 * low["latency_us"]["p999"]:
-        failures.append(
-            f"p999 does not grow across the knee: "
-            f"{low['latency_us']['p999']} -> {high['latency_us']['p999']}"
-            f" us")
-    if any(p["shed"] for p in open_pts.values()):
-        failures.append("open-loop points shed without admission control")
-    for point in first["sweep"]:
-        adm = point["admission"]
-        if adm is None:
-            continue
-        name = f"admission[{adm['policy']}]"
-        if point["offered"] != point["admitted"] + point["shed"]:
-            failures.append(
-                f"{name}: offered {point['offered']} != admitted "
-                f"{point['admitted']} + shed {point['shed']}")
-        if point["completed"] != point["admitted"]:
-            failures.append(
-                f"{name}: completed {point['completed']} != admitted "
-                f"{point['admitted']}")
-        if adm["policy"] == "shed":
-            if not point["shed"]:
-                failures.append(f"{name}: overload point shed nothing")
-            bound = TRAFFIC_P999_PROTECTION * high["latency_us"]["p999"]
-            if point["latency_us"]["p999"] >= bound:
-                failures.append(
-                    f"{name}: p999 not bounded: "
-                    f"{point['latency_us']['p999']} us >= {bound:.2f} us "
-                    f"({TRAFFIC_P999_PROTECTION:.0%} of unprotected)")
-        else:
-            if point["shed"]:
-                failures.append(
-                    f"{name}: queue policy shed {point['shed']} ops")
-            if not point["queued_ops"]:
-                failures.append(
-                    f"{name}: overload point queued nothing")
-    return failures
-
+# -- index: engine crossover and interval-numbered scans --------------------
 
 #: Relation-index engines of the adaptive-indexing sweep.
 INDEX_ENGINE_SWEEP = ("btree", "art", "learned")
@@ -1138,28 +882,14 @@ def _run_index_point(engine: str, zipf_theta: float, write_ratio: float,
             assert got is not None
             reads += 1
         latency.observe(sw.elapsed_ns)
-    elapsed_ns = clock.now_ns - start_ns
-    lat = latency.summary()
-    point = {
+    # No device underneath a bare index: write amplification is pinned 0.
+    point = _result(n_ops, clock.now_ns - start_ns, latency, digits=3) | {
         "engine": engine,
         "zipf_theta": zipf_theta,
         "write_ratio": write_ratio,
-        "ops": n_ops,
         "reads": reads,
         "writes": writes,
         "entries": len(tree),
-        "elapsed_virtual_ms": round(elapsed_ns / 1e6, 3),
-        "throughput_ops_s": round(n_ops * 1e9 / elapsed_ns, 1)
-        if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(lat["mean"] / 1000, 3),
-            "p50": round(lat["p50"] / 1000, 3),
-            "p95": round(lat["p95"] / 1000, 3),
-            "p99": round(lat["p99"] / 1000, 3),
-            "max": round(lat["max"] / 1000, 3),
-        },
-        # No device underneath a bare index: the gate key is pinned 0.
-        "write_amplification": 0.0,
     }
     if engine == "learned":
         tree_stats = tree.stats()
@@ -1237,83 +967,378 @@ def _run_ns_scan(workload: str, *, seed: int = 17) -> dict:
         "ops": entries,
         "throughput_ops_s": round(entries * 1e9 / elapsed_ns, 1)
         if elapsed_ns else 0.0,
-        "latency_us": {
-            "mean": round(elapsed_ns / 2000, 3),
-            "p50": round(elapsed_ns / 2000, 3),
-            "p95": round(elapsed_ns / 2000, 3),
-            "p99": round(elapsed_ns / 2000, 3),
-            "max": round(elapsed_ns / 1000, 3),
-        },
+        "latency_us": {q: round(elapsed_ns / 2000, 3)
+                       for q in ("mean", "p50", "p95", "p99")}
+        | {"max": round(elapsed_ns / 1000, 3)},
         "write_amplification": 0.0,
     }
 
 
-def run_index_sweep() -> dict:
-    """Engine crossover plus recursive-scan points as one document."""
-    engines = []
+def _index_points() -> dict[str, dict]:
+    points = {}
     for zipf_theta, write_ratio in INDEX_CROSSOVER_POINTS:
+        mix = "uniform" if zipf_theta == 0.0 \
+            else f"zipf{int(zipf_theta * 100)}"
         for engine in INDEX_ENGINE_SWEEP:
-            engines.append(_run_index_point(engine, zipf_theta,
-                                            write_ratio))
-    return {
-        "suite_version": SUITE_VERSION,
-        "engines": engines,
-        "ns_scan": [_run_ns_scan(w) for w in NS_SCAN_WORKLOADS],
-    }
+            points[f"index_{engine}_{mix}"] = _run_index_point(
+                engine, zipf_theta, write_ratio)
+    for workload in NS_SCAN_WORKLOADS:
+        points[f"ns_scan_{workload}"] = _run_ns_scan(workload)
+    return points
 
 
-def index_self_check(first: dict, second: dict) -> list[str]:
-    """The adaptive-indexing sweep's acceptance checks.
+def _index_crossover(points: dict, skewed: bool) -> str | None:
+    """The learned tier must beat ART by the margin on the uniform point
+    and lose to it by the same margin on the skewed one."""
+    failures = []
+    for name, learned in points.items():
+        if not name.startswith("index_learned_") \
+                or (learned["zipf_theta"] > 0.0) != skewed:
+            continue
+        art = points[name.replace("_learned_", "_art_")]
+        win, lose = (art, learned) if skewed else (learned, art)
+        if win["throughput_ops_s"] < \
+                INDEX_CROSSOVER_MARGIN * lose["throughput_ops_s"]:
+            failures.append(
+                f"{win['engine']} does not win the "
+                f"{'skewed' if skewed else 'uniform'} point "
+                f"(theta={learned['zipf_theta']} "
+                f"writes={learned['write_ratio']:.0%}): "
+                f"{win['throughput_ops_s']} vs {lose['engine']} "
+                f"{lose['throughput_ops_s']} op/s")
+    return _joined(failures)
 
-    Enforced by ``repro bench index`` (and the CI perf-gate job): the
-    sweep must be deterministic, the learned tier must beat ART by
-    >=:data:`INDEX_CROSSOVER_MARGIN` on the read-mostly uniform point
-    *and* lose to it by the same margin on the write-heavy Zipf point
-    (no crossover means either the probe pricing or the retrain pricing
-    is broken), and the interval accelerator must list both namespaces
-    >=:data:`NS_SCAN_MIN_SPEEDUP` x faster than the per-level walk
-    while producing identical listings.
+
+# -- traffic: open-loop saturation and admission ---------------------------
+
+#: Offered-load multipliers of the open-loop traffic sweep, as
+#: fractions of the measured closed-loop capacity: one point well below
+#: the knee, one near it, and two past it.
+TRAFFIC_SWEEP = (0.25, 1.0, 2.0, 4.0)
+
+#: Token rate of the admission-protected overload point, as a fraction
+#: of closed-loop capacity (split evenly across the tenants).
+TRAFFIC_ADMIT_FRACTION = 0.4
+
+#: Upper bound on the protected point's p999 latency relative to the
+#: unprotected overload point: shedding must cut the tail at least in
+#: half or admission control is decorative.
+TRAFFIC_P999_PROTECTION = 0.5
+
+#: Tenants and per-tenant op count of every open-loop point.
+_TRAFFIC_TENANTS = 2
+_TRAFFIC_OPS_PER_TENANT = 100
+
+
+def _traffic_sim(admission=None):
+    from repro.sched import TrafficConfig, TrafficSim
+
+    return TrafficSim(TrafficConfig(
+        n_workers=2, n_shards=1, n_keys=32, payload_bytes=4096,
+        read_ratio=0.5, seed=17), admission=admission)
+
+
+def _traffic_points() -> dict[str, dict]:
+    """Open-loop traffic sweep over the discrete-event scheduler.
+
+    First a closed-loop run measures the fleet's service capacity (the
+    calibration point — the same quantity ``WorkerSim`` estimates
+    analytically).  Then each sweep point replays a seeded Poisson
+    arrival schedule at a multiple of that capacity through
+    :class:`~repro.sched.TrafficSim`: below the knee completed
+    throughput tracks offered load; past it throughput saturates and
+    p999 latency explodes — the open-loop behaviour a closed-loop
+    (or analytic) harness is structurally blind to.  A final pair of
+    points replays the worst overload through token-bucket admission
+    (shed and queue policies) to show a bounded tail and exact shed
+    accounting.
     """
-    failures: list[str] = []
-    if render(first) != render(second):
-        failures.append("index sweep not deterministic: two runs differ")
-    by_point: dict[tuple[float, float], dict[str, dict]] = {}
-    for point in first["engines"]:
-        by_point.setdefault(
-            (point["zipf_theta"], point["write_ratio"]), {})[
-            point["engine"]] = point
-    for (theta, write_ratio), engines in sorted(by_point.items()):
-        learned = engines["learned"]["throughput_ops_s"]
-        art = engines["art"]["throughput_ops_s"]
-        tag = f"theta={theta} writes={write_ratio:.0%}"
-        if theta == 0.0:
-            if learned < INDEX_CROSSOVER_MARGIN * art:
-                failures.append(
-                    f"learned tier does not win the uniform point "
-                    f"({tag}): {learned} vs ART {art} op/s")
-        else:
-            if art < INDEX_CROSSOVER_MARGIN * learned:
-                failures.append(
-                    f"ART does not win the skewed point ({tag}): "
-                    f"{art} vs learned {learned} op/s")
-        if engines["learned"].get("learned", {}).get("retrains", 0) <= 0 \
-                and theta > 0.0:
-            failures.append(
-                f"no retrain churn on the skewed point ({tag})")
-    for point in first["ns_scan"]:
-        name = f"ns_scan[{point['workload']}]"
-        if not point["listings_match"]:
-            failures.append(f"{name}: accelerated listing differs from "
-                            f"the per-level walk")
-        if point["speedup"] < NS_SCAN_MIN_SPEEDUP:
-            failures.append(
-                f"{name}: interval scan speedup {point['speedup']}x "
-                f"< {NS_SCAN_MIN_SPEEDUP}x")
-        if point["range_scans"] < 2:
-            failures.append(
-                f"{name}: expected >=2 interval range scans, saw "
-                f"{point['range_scans']}")
-    return failures
+    from repro.sched import AdmissionController, generate_jobs
+
+    closed = _traffic_sim().run_closed(
+        _TRAFFIC_TENANTS * 48, tenants=_TRAFFIC_TENANTS)
+    capacity = closed.throughput_ops_s
+    points = {"traffic_closed": closed.as_dict()
+              | {"offered_mult": None, "admission": None}}
+
+    def jobs_at(mult: float):
+        # Per-tenant rate: aggregate offered load = tenants * rate.
+        return generate_jobs(
+            tenants=_TRAFFIC_TENANTS, per_tenant=_TRAFFIC_OPS_PER_TENANT,
+            rate_ops_s=capacity * mult / _TRAFFIC_TENANTS, seed=17,
+            n_keys=32, payload_bytes=4096, read_ratio=0.5)
+
+    for mult in TRAFFIC_SWEEP:
+        points[f"traffic_x{str(mult).replace('.', '')}"] = \
+            _traffic_sim().run(jobs_at(mult)).as_dict() \
+            | {"offered_mult": mult, "admission": None}
+    for policy in ("shed", "queue"):
+        ctl = AdmissionController(
+            policy=policy,
+            rate_tokens_s=capacity * TRAFFIC_ADMIT_FRACTION
+            / _TRAFFIC_TENANTS,
+            burst=4.0)
+        points[f"traffic_admit_{policy}"] = _traffic_sim(
+            admission=ctl).run(jobs_at(TRAFFIC_SWEEP[-1])).as_dict() | {
+            "offered_mult": TRAFFIC_SWEEP[-1],
+            "admission": {"policy": policy,
+                          "rate_fraction": TRAFFIC_ADMIT_FRACTION,
+                          "burst": 4.0},
+        }
+    return points
+
+
+def _open_loop(points: dict) -> list[dict]:
+    return _pick(points, "traffic_x", "offered_mult")
+
+
+def _traffic_below_knee(points: dict) -> str | None:
+    """Below the knee, completed throughput tracks offered load."""
+    low = _open_loop(points)[0]
+    offered = points["traffic_closed"]["throughput_ops_s"] \
+        * low["offered_mult"]
+    if abs(low["throughput_ops_s"] - offered) > 0.3 * offered:
+        return (f"below-knee point off its offered load: "
+                f"{low['throughput_ops_s']} vs offered {offered:.1f}")
+    return None
+
+
+def _traffic_knee_saturates(points: dict) -> str | None:
+    """Past the knee (>=2x offered), throughput saturates."""
+    knee = [p for p in _open_loop(points) if p["offered_mult"] >= 2.0]
+    if len(knee) >= 2 and knee[-1]["throughput_ops_s"] > \
+            1.15 * knee[0]["throughput_ops_s"]:
+        return (f"no saturation knee: {knee[0]['throughput_ops_s']} -> "
+                f"{knee[-1]['throughput_ops_s']} op/s past 2x offered")
+    return None
+
+
+def _traffic_tail_grows(points: dict) -> str | None:
+    """Without admission control the tail explodes across the knee."""
+    low, high = _open_loop(points)[0], _open_loop(points)[-1]
+    if high["latency_us"]["p999"] < 5 * low["latency_us"]["p999"]:
+        return (f"p999 does not grow across the knee: "
+                f"{low['latency_us']['p999']} -> "
+                f"{high['latency_us']['p999']} us")
+    return None
+
+
+def _traffic_shed_bounds_p999(points: dict) -> str | None:
+    """Shedding must cut the unprotected overload tail by the bound."""
+    bound = TRAFFIC_P999_PROTECTION * \
+        _open_loop(points)[-1]["latency_us"]["p999"]
+    return _each(
+        points, "traffic_admit_shed",
+        lambda p: p["latency_us"]["p999"] >= bound,
+        "admission[shed]: p999 not bounded: {latency_us[p999]} us >= "
+        f"{bound:.2f} us ({TRAFFIC_P999_PROTECTION:.0%} of unprotected)")
+
+
+# -- the registry ---------------------------------------------------------
+
+_GATED_COLUMNS = (("ops", "ops", ""), ("op/s", "throughput_ops_s", ".1f"))
+
+#: Every gated sweep, in suite order.  ``repro bench <name>`` runs one;
+#: ``run_suite`` folds all of their points into the gated suite.
+SWEEPS: dict[str, Sweep] = {sweep.name: sweep for sweep in (
+    Sweep(
+        name="iodepth",
+        title="iodepth sweep (pinned seed, simulated time)",
+        points=_iodepth_points,
+        checks=(
+            ("monotone_in_depth", lambda pts: _not_monotone(
+                _pick(pts, "iodepth_", "queue_depth"), "queue_depth")),
+            ("diminishing_returns", _iodepth_diminishing),
+        ),
+        columns=(("qd", "queue_depth", ""), *_GATED_COLUMNS,
+                 ("p99 us", "latency_us.p99", ".1f"),
+                 ("WA", "write_amplification", ".2f"),
+                 ("coalesce", "io.coalesce_ratio", ".4f")),
+    ),
+    Sweep(
+        name="shards",
+        title="shard sweep (scatter-gather makespan, pinned seed)",
+        points=_shard_points,
+        checks=(
+            ("monotone_in_shards", lambda pts: _not_monotone(
+                _shards_uniform(pts), "n_shards")),
+            ("uniform_speedup", lambda pts: _short_speedup(
+                _shards_uniform(pts), "n_shards", SHARD_MIN_SPEEDUP)),
+            ("skew_degrades", _shards_skew_degrades),
+        ),
+        columns=(("shards", "n_shards", ""), ("zipf", "zipf_theta", ".2f"),
+                 *_GATED_COLUMNS, ("p99 us", "latency_us.p99", ".1f"),
+                 ("WA", "write_amplification", ".2f"),
+                 ("imbalance", "shard.imbalance", ".4f")),
+    ),
+    Sweep(
+        name="replication",
+        title="replication sweep (3-member groups, pinned seed)",
+        points=lambda: {f"replication_q{q}": _run_replication(q)
+                        for q in REPLICATION_QUORUMS},
+        checks=(("quorum_latency_increasing",
+                 _quorum_latency_increasing),),
+        columns=(("quorum", "quorum", ""), *_GATED_COLUMNS,
+                 ("mean us", "latency_us.mean", ".2f"),
+                 ("p99 us", "latency_us.p99", ".2f"),
+                 ("shipped", "replication.records_shipped", ""),
+                 ("retries", "replication.ship_retries", "")),
+        # The storm gates robustness, not throughput: it stays out of
+        # the suite and rides only in `bench replication`.
+        extra=("storm", run_replication_storm),
+        extra_checks=STORM_CHECKS,
+    ),
+    Sweep(
+        name="pmem",
+        title="pmem sweep (durable-ack commit latency by WAL placement; "
+              "stripe width)",
+        points=_pmem_points,
+        checks=(
+            ("wal_on_pmem_below_nvme", _pmem_wal_below_nvme),
+            ("stripe_monotone", lambda pts: _not_monotone(
+                _pick(pts, "stripe_", "n_devices"), "n_devices")),
+            ("stripe_speedup", lambda pts: _short_speedup(
+                _pick(pts, "stripe_", "n_devices"), "n_devices",
+                PMEM_STRIPE_MIN_SPEEDUP)),
+        ),
+        columns=(("window us", "window_us", ".1f"), ("wal on", "wal_on", ""),
+                 ("devices", "n_devices", ""), *_GATED_COLUMNS,
+                 ("mean us", "latency_us.mean", ".3f"),
+                 ("p99 us", "latency_us.p99", ".3f"),
+                 ("appends", "wal.byte_appends", ""),
+                 ("coalesce", "io.coalesce_ratio", ".4f"),
+                 ("WA", "write_amplification", ".4f")),
+    ),
+    Sweep(
+        name="index",
+        title="index sweep (bare relation index crossover; per-level walk "
+              "vs interval scan)",
+        points=_index_points,
+        checks=(
+            ("learned_wins_uniform",
+             lambda pts: _index_crossover(pts, skewed=False)),
+            ("art_wins_skewed",
+             lambda pts: _index_crossover(pts, skewed=True)),
+            ("retrain_churn_on_skew", lambda pts: _each(
+                pts, "index_learned_", lambda p: p["zipf_theta"] > 0.0
+                and p.get("learned", {}).get("retrains", 0) <= 0,
+                "no retrain churn on the skewed point "
+                "(theta={zipf_theta} writes={write_ratio:.0%})")),
+            ("listings_match", lambda pts: _each(
+                pts, "ns_scan_", lambda p: not p["listings_match"],
+                "ns_scan[{workload}]: accelerated listing differs from "
+                "the per-level walk")),
+            ("interval_scan_speedup", lambda pts: _each(
+                pts, "ns_scan_", lambda p: p["speedup"] < NS_SCAN_MIN_SPEEDUP,
+                "ns_scan[{workload}]: interval scan speedup {speedup}x < "
+                f"{NS_SCAN_MIN_SPEEDUP}x")),
+            ("interval_range_scans", lambda pts: _each(
+                pts, "ns_scan_", lambda p: p["range_scans"] < 2,
+                "ns_scan[{workload}]: expected >=2 interval range scans, "
+                "saw {range_scans}")),
+        ),
+        columns=(("engine", "engine", ""), ("theta", "zipf_theta", ".2f"),
+                 ("writes", "write_ratio", ".0%"), *_GATED_COLUMNS,
+                 ("mean us", "latency_us.mean", ".3f"),
+                 ("p99 us", "latency_us.p99", ".3f"),
+                 ("retrains", "learned.retrains", ""),
+                 ("plain us", "plain_us", ".1f"),
+                 ("accel us", "accelerated_us", ".1f"),
+                 ("speedup", "speedup", ".2f"),
+                 ("match", "listings_match", "")),
+    ),
+    Sweep(
+        name="traffic",
+        title="traffic sweep (closed-loop capacity, then open-loop "
+              "arrivals, pinned seed)",
+        points=_traffic_points,
+        checks=(
+            ("below_knee_tracks_offered", _traffic_below_knee),
+            ("knee_saturates", _traffic_knee_saturates),
+            ("tail_grows_without_admission", _traffic_tail_grows),
+            ("open_loop_never_sheds", lambda pts: _each(
+                pts, "traffic_x", lambda p: p["shed"],
+                "open-loop point x{offered_mult} shed {shed} ops without "
+                "admission control")),
+            ("offered_is_admitted_plus_shed", lambda pts: _each(
+                pts, "traffic_admit_",
+                lambda p: p["offered"] != p["admitted"] + p["shed"],
+                "admission[{admission[policy]}]: offered {offered} != "
+                "admitted {admitted} + shed {shed}")),
+            ("completed_is_admitted", lambda pts: _each(
+                pts, "traffic_admit_",
+                lambda p: p["completed"] != p["admitted"],
+                "admission[{admission[policy]}]: completed {completed} != "
+                "admitted {admitted}")),
+            ("shed_policy_sheds", lambda pts: _each(
+                pts, "traffic_admit_shed", lambda p: not p["shed"],
+                "admission[shed]: overload point shed nothing")),
+            ("shed_bounds_p999", _traffic_shed_bounds_p999),
+            ("queue_policy_never_sheds", lambda pts: _each(
+                pts, "traffic_admit_queue", lambda p: p["shed"],
+                "admission[queue]: queue policy shed {shed} ops")),
+            ("queue_policy_queues", lambda pts: _each(
+                pts, "traffic_admit_queue", lambda p: not p["queued_ops"],
+                "admission[queue]: overload point queued nothing")),
+        ),
+        columns=(("offered", "offered_mult", ".2f"),
+                 ("policy", "admission.policy", ""),
+                 ("done", "completed", ""), ("shed", "shed", ""),
+                 ("op/s", "throughput_ops_s", ".1f"),
+                 ("p99 us", "latency_us.p99", ".1f"),
+                 ("p999 us", "latency_us.p999", ".1f"),
+                 ("depth", "max_dispatch_depth", "")),
+    ),
+)}
+
+
+def sweep_document(sweep: Sweep) -> dict:
+    """One run of ``sweep`` as a JSON-ready document."""
+    doc = {"suite_version": SUITE_VERSION, "workloads": sweep.points()}
+    if sweep.extra:
+        key, run = sweep.extra
+        doc[key] = run()
+    return doc
+
+
+def check_sweep(sweep: Sweep) -> tuple[dict, list[str]]:
+    """Run ``sweep`` twice; returns the first document and every failure.
+
+    The two runs must render byte-identically (the sweep is pure virtual
+    time and seeded RNGs), then every named check must pass.
+    """
+    first, second = sweep_document(sweep), sweep_document(sweep)
+    results = [("determinism", None if render(first) == render(second)
+                else f"{sweep.name} sweep not deterministic: runs differ")]
+    results += [(name, check(first["workloads"]))
+                for name, check in sweep.checks]
+    results += [(name, check(first[sweep.extra[0]]))
+                for name, check in sweep.extra_checks]
+    return first, [f"{name}: {msg}" for name, msg in results if msg]
+
+
+def format_sweep(sweep: Sweep, doc: dict) -> str:
+    """The sweep's table, one row per point, plus any extra output."""
+    def cell(point: dict, path: str, spec: str) -> str:
+        value = point
+        for part in path.split("."):
+            value = value.get(part) if isinstance(value, dict) else None
+        return "-" if value is None else format(value, spec)
+
+    rows = [["workload", *(header for header, _, _ in sweep.columns)]]
+    rows += [[name, *(cell(point, path, spec)
+                      for _, path, spec in sweep.columns)]
+             for name, point in doc["workloads"].items()]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = [sweep.title]
+    lines += ["  " + row[0].ljust(widths[0]) + "".join(
+        " " + value.rjust(width) for value, width in zip(row[1:], widths[1:]))
+        for row in rows]
+    if sweep.extra:
+        key = sweep.extra[0]
+        lines.append(f"{key}:")
+        lines += [f"  {k}: {v}" for k, v in sorted(doc[key].items())]
+    return "\n".join(lines)
 
 
 def run_suite(label: str = "local") -> dict:
@@ -1328,54 +1353,10 @@ def run_suite(label: str = "local") -> dict:
         # Wikipedia: realistic size distribution + Zipf popularity.
         "wikipedia": _run_wikipedia(n_articles=100, n_ops=150, seed=7),
     }
-    # The queue-depth sweep rides in the gated suite so a perf change
-    # that hurts deep-queue pipelining fails the same gate.
-    for point in run_iodepth_sweep()["sweep"]:
-        workloads[f"iodepth_qd{point['queue_depth']}"] = point
-    # So does the shard sweep: scatter-gather speedup (and the skewed
-    # point's degradation) are perf properties the gate protects.
-    for point in run_shard_sweep()["sweep"]:
-        name = f"shards_s{point['n_shards']}"
-        if point["zipf_theta"] > 0:
-            name += f"_zipf{int(point['zipf_theta'] * 100)}"
-        workloads[name] = point
-    # And the quorum sweep: replication's commit-latency cost curve is
-    # a perf property too (the storm stays in `bench replication` —
-    # it gates robustness, not throughput).
-    for quorum in REPLICATION_QUORUMS:
-        workloads[f"replication_q{quorum}"] = _run_replication(quorum)
-    # And the heterogeneous-storage sweep: the PMem byte-append win and
-    # the stripe makespan win are exactly the perf properties this PR
-    # class would regress.
-    pmem = run_pmem_sweep()
-    for point in pmem["commit"]:
-        window = int(point["window_us"])
-        workloads[f"pmem_wal_{point['wal_on']}_w{window}us"] = point
-    for point in pmem["stripe"]:
-        workloads[f"stripe_k{point['n_devices']}"] = point
-    # And the adaptive-indexing sweep: the learned/ART crossover and
-    # the interval-scan speedup are the perf properties PR-class
-    # "indexing" changes would regress.
-    index = run_index_sweep()
-    for point in index["engines"]:
-        name = f"index_{point['engine']}_" + (
-            "uniform" if point["zipf_theta"] == 0.0
-            else f"zipf{int(point['zipf_theta'] * 100)}")
-        workloads[name] = point
-    for point in index["ns_scan"]:
-        workloads[f"ns_scan_{point['workload']}"] = point
-    # And the traffic sweep: the saturation knee, the open-loop tail,
-    # and the admission-protected overload point are perf properties —
-    # a change that moves the knee or unbounds p999 fails the gate.
-    traffic = run_traffic_sweep()
-    workloads["traffic_closed"] = traffic["closed_loop"]
-    for point in traffic["sweep"]:
-        if point["admission"] is None:
-            mult = point["offered_mult"]
-            name = f"traffic_x{str(mult).replace('.', '')}"
-        else:
-            name = f"traffic_admit_{point['admission']['policy']}"
-        workloads[name] = point
+    # Every sweep's points ride in the gated suite too, so a change
+    # that bends one of the paper's shapes fails the same gate.
+    for sweep in SWEEPS.values():
+        workloads.update(sweep.points())
     return {
         "label": label,
         "suite_version": SUITE_VERSION,
@@ -1420,6 +1401,15 @@ def _lookup(result: dict, path: tuple[str, ...]) -> float:
     return float(value)
 
 
+def check_tolerance(tolerance: float) -> float:
+    """``tolerance`` if the gate can use it; a NaN slack fails no
+    comparison and a negative one fails every unchanged metric."""
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(
+            f"tolerance must be a finite number >= 0, got {tolerance!r}")
+    return tolerance
+
+
 def compare(baseline: dict, current: dict,
             tolerance: float = DEFAULT_TOLERANCE) \
         -> tuple[list[str], list[str]]:
@@ -1430,6 +1420,7 @@ def compare(baseline: dict, current: dict,
     a gated metric.  ``notes`` records improvements and skipped
     workloads (informational only).
     """
+    check_tolerance(tolerance)
     regressions: list[str] = []
     notes: list[str] = []
     if baseline.get("suite_version") != current.get("suite_version"):

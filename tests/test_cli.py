@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import copy
 import json
 
 import pytest
 
 from repro.__main__ import main
+from repro.bench import baseline
 
 
 class TestCli:
@@ -105,25 +107,93 @@ class TestTraceCommand:
 
 
 class TestBenchCommand:
-    def test_bench_writes_and_gates_against_itself(self, tmp_path, capsys):
+    def test_bench_writes_and_gates_against_itself(self, tmp_path, capsys,
+                                                   suite_doc):
+        base = tmp_path / "BENCH_base.json"
+        baseline.write_baseline(str(base), suite_doc)
         out = tmp_path / "BENCH_a.json"
-        assert main(["bench", "--label", "a", "--out", str(out)]) == 0
+        assert main(["bench", "--label", "a", "--out", str(out),
+                     "--compare", str(base)]) == 0
         doc = json.loads(out.read_text())
         assert doc["label"] == "a"
-        assert main(["bench", "--label", "b",
-                     "--out", str(tmp_path / "BENCH_b.json"),
-                     "--compare", str(out)]) == 0
+        assert doc["workloads"] == suite_doc["workloads"]
         assert "regression gate OK" in capsys.readouterr().out
 
-    def test_bench_gate_fails_on_regression(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_a.json"
-        assert main(["bench", "--label", "a", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+    def test_bench_gate_fails_on_regression(self, tmp_path, capsys,
+                                            suite_doc):
+        doc = copy.deepcopy(suite_doc)
         for wl in doc["workloads"].values():
             wl["throughput_ops_s"] *= 2  # baseline far faster than now
-        out.write_text(json.dumps(doc))
+        base = tmp_path / "BENCH_a.json"
+        base.write_text(json.dumps(doc))
         assert main(["bench", "--label", "c",
                      "--out", str(tmp_path / "BENCH_c.json"),
-                     "--compare", str(out)]) == 1
+                     "--compare", str(base)]) == 1
         captured = capsys.readouterr()
         assert "REGRESSION" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "iodepth", "--compare", "/nonexistent.json"],
+        ["bench", "pmem", "--label", "x"],
+        ["bench", "traffic", "--tolerance", "0.2"],
+        ["bench", "index", "--traces", "trace-dir"],
+        ["bench", "--traces", "trace-dir"],
+    ], ids=lambda argv: "-".join(argv[1:3]))
+    def test_options_a_mode_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[-2] in err and "only applies to mode" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "ten"])
+    def test_unusable_tolerance_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--tolerance", value])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
+
+
+def _fake_sweep(throughputs, check=lambda pts: None):
+    """A one-point registered sweep whose points() yields ``throughputs``
+    in turn, with one named check and a storm-like extra output."""
+    values = iter(throughputs)
+    return baseline.Sweep(
+        name="fake", title="fake sweep",
+        points=lambda: {"fake_p": {"ops": 4,
+                                   "throughput_ops_s": next(values)}},
+        checks=(("fake_check", check),),
+        columns=(("op/s", "throughput_ops_s", ".1f"),),
+        extra=("storm", lambda: {"digest": "d1"}),
+        extra_checks=(("storm_check", lambda storm: None),))
+
+
+class TestBenchSweep:
+    """The one generic ``repro bench <sweep>`` path."""
+
+    def test_ok_sweep_prints_table_and_writes_document(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(baseline.SWEEPS, "fake", _fake_sweep([5.0, 5.0]))
+        out = tmp_path / "BENCH_fake.json"
+        assert main(["bench", "fake", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "fake_p" in printed and "5.0" in printed
+        assert "digest: d1" in printed
+        assert "fake sweep OK: deterministic, fake_check, storm_check" \
+            in printed
+        doc = json.loads(out.read_text())
+        assert doc == {"suite_version": baseline.SUITE_VERSION,
+                       "workloads": {"fake_p": {"ops": 4,
+                                                "throughput_ops_s": 5.0}},
+                       "storm": {"digest": "d1"}}
+
+    def test_nondeterministic_sweep_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(baseline.SWEEPS, "fake", _fake_sweep([5.0, 6.0]))
+        assert main(["bench", "fake"]) == 1
+        assert "not deterministic" in capsys.readouterr().err
+
+    def test_failed_check_fails(self, capsys, monkeypatch):
+        monkeypatch.setitem(baseline.SWEEPS, "fake", _fake_sweep(
+            [5.0, 5.0], check=lambda pts: "shape broken"))
+        assert main(["bench", "fake"]) == 1
+        assert "FAILED: fake_check: shape broken" in capsys.readouterr().err
